@@ -2,13 +2,15 @@
 
 Spaces with orthonormal basis f_n(z) = z^n * phi(a_n z) for finitely many
 distinct unimodular roots of phi and weights a_n -> 1: kernel evaluation
-with certified truncation error, the lower-triangular re-expansion
-recursions and their companion-matrix products, boundedness diagnostics,
+with certified truncation error, the band of basis Taylor coefficients
+behind every coefficient route (re-expansion, z-multiplication, the
+quotient encoding) and the companion-matrix products, boundedness diagnostics,
 the explicit splitting into phi * H^2 plus boundary kernel functions, and
 the z-multiplication operator.
 """
 
 from .core import (
+    BasisBand,
     BoundaryConfig,
     ConfigurationError,
     DomainError,
@@ -18,7 +20,6 @@ from .core import (
     TruncationError,
     WeightSequence,
     beta_coefficients,
-    eval_poly,
     homogeneous_symmetric,
     louck_power_sum,
     mu_weights,
@@ -37,7 +38,6 @@ from .basis_kernel import (
     kernel_eval,
 )
 from .recursion import (
-    ColumnBandMatrix,
     ContainmentReport,
     EigenBasis,
     NormEstimate,

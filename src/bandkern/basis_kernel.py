@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BasisBand,
     BoundaryConfig,
     DomainError,
     Poly,
@@ -24,6 +25,7 @@ from .core import (
     WeightSequence,
     beta_coefficients,
     phi_from_roots,
+    phase_powers,
     phi_reduced,
 )
 
@@ -121,15 +123,14 @@ def _poly_at_scaled(poly: Poly, z: complex, a: np.ndarray) -> np.ndarray:
 def _coeff_abs_bound(cfg: BoundaryConfig, weights: WeightSequence) -> float:
     """Uniform bound on |phi(a_n z)| over n and |z| <= 1."""
     beta = np.abs(beta_coefficients(cfg))
-    a_sup = float(np.max(np.abs(weights.a(np.arange(0, 4096)))))
-    a_sup = max(a_sup, 1.0)
+    a_sup = weights.a_sup()
     return float(np.sum(beta * a_sup ** np.arange(len(beta))))
 
 
 def _lipschitz_pair_bound(cfg: BoundaryConfig, i: int, j: int,
                           weights: WeightSequence) -> float:
     """Lipschitz constant of a -> phi_i(a z_i) * conj(phi_j(a z_j)) near a = 1."""
-    a_sup = max(1.0, float(np.max(np.abs(weights.a(np.arange(0, 4096))))))
+    a_sup = weights.a_sup()
 
     def sup_and_slope(poly):
         c = np.abs(poly.coeffs)
@@ -216,30 +217,14 @@ def _kernel_special_pair(i: int, j: int, cfg: BoundaryConfig,
     vj = _poly_at_scaled(phi_reduced(cfg, j), zj, weights.a(n))
     terms = one_minus * np.conj(one_minus) * vi * np.conj(vj)
     if not diagonal:
-        terms = terms * _unit_powers(rho, i, j, cfg, N)
+        q = cfg.angles[i] - cfg.angles[j] if cfg.angles is not None else None
+        terms = terms * phase_powers(q, np.angle(rho), n)
     value = complex(np.sum(terms))
     tail = rem + extra
     if diagonal and closed is not None:
         value += v_inf * closed
     tail += 4e-16 * N * abs(value)  # float-summation allowance
     return KernelValue(value, N, float(tail))
-
-
-def _unit_powers(rho: complex, i: int, j: int, cfg: BoundaryConfig, N: int) -> np.ndarray:
-    """rho^n for n < N with rho = z_i conj(z_j) on the unit circle.
-
-    Exact-fraction angles give phase arithmetic free of the n*eps drift of
-    repeated complex powers.
-    """
-    n = np.arange(N, dtype=np.int64)
-    if cfg.angles is not None:
-        q = cfg.angles[i] - cfg.angles[j]
-        num, den = q.numerator % q.denominator, q.denominator
-        if den <= (1 << 30):
-            frac = ((n % den) * (num % den)) % den
-            return np.exp(2j * np.pi * frac / den)
-    theta = np.angle(rho)
-    return np.exp(1j * theta * n)
 
 
 @dataclass(frozen=True)
@@ -304,11 +289,4 @@ def h2_coeffs(alpha, cfg: BoundaryConfig, weights: WeightSequence,
         N = len(alpha)
     if len(alpha) < N:
         raise ValueError("alpha shorter than requested prefix")
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    out = np.zeros(N, dtype=complex)
-    a = weights.prefix(N)
-    for k in range(J + 1):
-        d = np.arange(k, N)
-        out[d] += beta[k] * np.asarray(a[: N - k]) ** k * alpha[: N - k]
-    return out
+    return BasisBand(cfg, weights, N).matvec(alpha[:N])

@@ -1,7 +1,7 @@
 """Experiment runner: JSON config in, summary JSON + long-format CSV out.
 
 Usage:
-    bandkern run <config.json> [--out PREFIX] [--threads K]
+    bandkern run <config.json> [--out PREFIX]
     bandkern plot <series.csv>
 
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure
@@ -165,12 +165,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     points = [_parse_complex(p, cfg) if not isinstance(p, list)
               else [_parse_complex(q, cfg) for q in p]
               for p in raw.get("points", [])]
+    trials = raw.get("trials", 5)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigurationError("trials must be an integer >= 1")
     expect = raw.get("expect_verdict")
     if expect is not None and not isinstance(expect, str):
         raise ConfigurationError("expect_verdict must be a string")
     return ExperimentConfig(
         cfg, weights, experiment, list(truncations), tolerance, seed,
-        raw.get("output"), points, expect, int(raw.get("trials", 5)), raw,
+        raw.get("output"), points, expect, trials, raw,
     )
 
 
@@ -357,9 +360,21 @@ def _write_series(path: str, experiment: str, rows) -> None:
             fh.write(f"{experiment},{idx},{quantity},{_fmt(value)}\n")
 
 
+def _strict(obj):
+    """Replace non-finite floats (no JSON literal exists) by None."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_summary(path: str, summary: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_strict(summary), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -374,8 +389,7 @@ def _diagnostic(prefix: Optional[str], code: int, kind: str, message: str) -> No
             pass
 
 
-def run(config_path: str, out: Optional[str] = None,
-        threads: Optional[int] = None) -> int:
+def run(config_path: str, out: Optional[str] = None) -> int:
     """Execute the experiment named in the config file; returns an exit code."""
     prefix = out
     try:
@@ -390,8 +404,6 @@ def run(config_path: str, out: Optional[str] = None,
         _diagnostic(prefix, EXIT_CONFIG, type(exc).__name__, str(exc))
         return EXIT_CONFIG
     prefix = out or ec.output or os.path.splitext(config_path)[0]
-    if threads is None:
-        threads = int(os.environ.get("BANDKERN_THREADS", "1"))
     try:
         verdicts, measurements, rows = _RUNNERS[ec.experiment](ec)
     except (TruncationError, IllConditionedError, ArithmeticError,
@@ -412,7 +424,6 @@ def run(config_path: str, out: Optional[str] = None,
         "measurements": measurements,
         "series_csv": os.path.basename(series_path),
         "status": "ok",
-        "threads": threads,
     }
     validate_summary(summary)
     _write_summary(prefix + ".summary.json", summary)
@@ -459,12 +470,11 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output path prefix")
-    p_run.add_argument("--threads", type=int, default=None)
     p_plot = sub.add_parser("plot", help="emit per-quantity plot data")
     p_plot.add_argument("series")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.out, args.threads)
+        return run(args.config, args.out)
     return emit_plot_data(args.series)
 
 

@@ -18,12 +18,14 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 TOL_UNIT = 1e-12      # |z_j| deviation from the unit circle
 TOL_SEP = 1e-9        # minimal pairwise root separation
 TOL_IDENTITY = 1e-9   # default residual for the polynomial identities
 
 TWO_PI = 2.0 * math.pi
+DENSE_CAP = 8192      # largest N of a dense N x N section
 
 
 class ConfigurationError(ValueError):
@@ -119,11 +121,6 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def eval_poly(poly: Poly, x) -> complex:
-    """Evaluate ``poly`` at ``x`` by Horner's scheme."""
-    return poly(x)
-
-
 # ---------------------------------------------------------------------------
 # boundary configuration
 # ---------------------------------------------------------------------------
@@ -201,22 +198,26 @@ class BoundaryConfig:
         return tuple(z.conjugate() for z in self.roots)
 
 
-def root_powers(cfg: BoundaryConfig, j: int, exponents) -> np.ndarray:
-    """z_j^m for an array of (possibly negative) integer exponents.
+def phase_powers(q: Optional[Fraction], theta: float, exponents) -> np.ndarray:
+    """exp(i*theta*m) for integer exponents m, one complex exponential each.
 
-    Rational angles are multiplied in exact integer arithmetic before the
-    single complex exponential, avoiding the phase drift of repeated
+    With the exact angle fraction q (theta = 2*pi*q) the phase q*m is reduced
+    mod 1 in integer arithmetic first, avoiding the phase drift of repeated
     floating-point powers.
     """
     m = np.asarray(exponents, dtype=np.int64)
-    if cfg.angles is not None:
-        q = cfg.angles[j]
+    if q is not None:
         num, den = q.numerator % q.denominator, q.denominator
         if den <= (1 << 30):
-            frac = ((m % den) * (num % den)) % den
+            frac = ((m % den) * num) % den
             return np.exp(2j * np.pi * frac / den)
-    theta = np.angle(cfg.roots[j])
     return np.exp(1j * theta * m)
+
+
+def root_powers(cfg: BoundaryConfig, j: int, exponents) -> np.ndarray:
+    """z_j^m for an array of (possibly negative) integer exponents."""
+    q = cfg.angles[j] if cfg.angles is not None else None
+    return phase_powers(q, np.angle(cfg.roots[j]), exponents)
 
 
 def phi_from_roots(cfg: BoundaryConfig) -> Poly:
@@ -239,6 +240,69 @@ def phi_reduced(cfg: BoundaryConfig, j: int) -> Poly:
 def beta_coefficients(cfg: BoundaryConfig) -> np.ndarray:
     """Coefficient array of phi, length J+1."""
     return phi_from_roots(cfg).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the band of basis Taylor coefficients
+# ---------------------------------------------------------------------------
+
+class BasisBand:
+    """Unit lower-triangular band L of basis Taylor coefficients.
+
+    Column m holds the J+1 coefficients beta_k a_n^k of f_n, n = start + m,
+    at rows m..m+J; ``ab[k, m]`` is the entry on the k-th subdiagonal, which
+    is LAPACK's lower-band storage.  With ``weights`` None every a_n is 1
+    and the band is Lhat, the coefficients of z^n phi(z).  A band whose
+    entries are all real is stored real.
+
+    Every coefficient route of the package is a solve or a product with
+    such a band: C = L^-1 Lhat, M_z = L^-1 S L (S the shift), the constant
+    function L^-1 e_0 and the quotient map Lhat^-1 L.
+    """
+
+    def __init__(self, cfg: BoundaryConfig, weights: Optional["WeightSequence"],
+                 N: int, start: int = 0):
+        beta = beta_coefficients(cfg)
+        a = (np.ones(N) if weights is None
+             else np.asarray(weights.a(np.arange(start, start + N))))
+        if not (np.any(beta.imag) or np.any(np.imag(a))):
+            beta, a = beta.real, np.real(a)
+        self.ab = np.empty((len(beta), N), np.result_type(beta, a), order="F")
+        for k, b in enumerate(beta):
+            self.ab[k] = b * a ** k
+        self.N, self.J = N, len(beta) - 1
+
+    def matvec(self, x) -> np.ndarray:
+        """L x for x of length N, one pass per diagonal."""
+        x = np.asarray(x)
+        y = np.zeros(self.N, dtype=np.result_type(self.ab, x))
+        for k in range(self.J + 1):
+            y[k:] += self.ab[k, : self.N - k] * x[: self.N - k]
+        return y
+
+    def solve(self, b, overwrite_b: bool = False) -> np.ndarray:
+        """x with L x = b (N rows, one or more columns) by forward
+        substitution without pivoting (LAPACK ?tbtrs)."""
+        tbtrs = get_lapack_funcs("tbtrs", (self.ab, b))
+        x, info = tbtrs(self.ab, b, uplo="L", diag="U", overwrite_b=overwrite_b)
+        if info != 0:
+            raise ValueError(f"?tbtrs rejected argument {-info}")
+        return x
+
+    def dense(self, shift: int = 0, dtype=None) -> np.ndarray:
+        """The band as a Fortran-ordered N x N matrix moved ``shift`` rows
+        down (shift 1 gives S L); refused beyond N = DENSE_CAP."""
+        N = self.N
+        if N > DENSE_CAP:
+            raise ValueError(f"dense sections are capped at N = {DENSE_CAP}; "
+                             "use the column routines for individual columns")
+        out = np.zeros((N, N), dtype=dtype or self.ab.dtype, order="F")
+        flat = out.reshape(-1, order="F")  # a view: entry (i, m) sits at i + m*N
+        for k in range(self.J + 1):
+            r = k + shift
+            if r < N:
+                flat[r:: N + 1][: N - r] = self.ab[k, : N - r]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +448,16 @@ class WeightSequence:
 
     def one_minus_prefix(self, N: int) -> np.ndarray:
         return self.one_minus_a(np.arange(N))
+
+    def a_sup(self) -> float:
+        """max(1, sup_n |a_n|) over the whole sequence, table included.
+
+        Harmonic and powerlaw a_n increase toward 1, so beyond the table
+        only the first index of the tail rule can exceed 1 in modulus.
+        """
+        rule = self.tail if self.kind == _TABLE else self
+        head = [abs(v) for v in self.values]
+        return float(max([1.0, abs(rule.a(len(self.values)))] + head))
 
     @property
     def rate_hypothesis(self) -> bool:

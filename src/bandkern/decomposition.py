@@ -21,6 +21,7 @@ import numpy as np
 
 from .basis_kernel import eval_f_prefix, h2_coeffs, kernel_eval
 from .core import (
+    BasisBand,
     BoundaryConfig,
     IllConditionedError,
     Poly,
@@ -194,20 +195,11 @@ def enforce_vanishing(alpha, cfg: BoundaryConfig,
 
 def bp_apply(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
     """Quotient coefficients g with sum alpha_n f_n = phi * sum g_n z^n as
-    formal series: g_n = alpha_n + sum_{j=n-J}^{n-1} (alpha_j beta_{n-j}
-    a_j^{n-j} - g_j beta_{n-j})."""
+    formal series: Lhat g = L alpha, i.e. g = Lhat^-1 L alpha."""
     alpha = np.asarray(alpha, dtype=complex)
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
     N = len(alpha)
-    a = np.asarray(weights.prefix(N), dtype=complex)
-    g = np.zeros(N, dtype=complex)
-    for n in range(N):
-        s = alpha[n]
-        for j in range(max(0, n - J), n):
-            s += alpha[j] * beta[n - j] * a[j] ** (n - j) - g[j] * beta[n - j]
-        g[n] = s
-    return g
+    y = BasisBand(cfg, weights, N).matvec(alpha)
+    return BasisBand(cfg, None, N).solve(y, overwrite_b=True)
 
 
 def chat_apply(perm: PermissibleSequence, cfg: BoundaryConfig,
@@ -236,18 +228,6 @@ def chat_apply(perm: PermissibleSequence, cfg: BoundaryConfig,
         g -= wn * suffix                            # -Q_{n-1-c}(a_c) entries
         g -= cfg.roots[j] * Gj * alpha              # Q_{-1}(a_n) = sum_j z_j G_j(n)
     return g
-
-
-def boundary_modes(cfg: BoundaryConfig, weights: WeightSequence,
-                   N: int) -> np.ndarray:
-    """Columns h_j = (basis coefficients of K(., z_j)) pushed through the
-    quotient encoding; their tails carry the non-decaying oscillations used
-    to identify kernel loadings."""
-    cols = []
-    for z in cfg.roots:
-        kappa = np.conj(eval_f_prefix(N, z, cfg, weights))
-        cols.append(bp_apply(kappa, cfg, weights))
-    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +311,7 @@ def taylor_to_basis(taylor, cfg: BoundaryConfig,
                     weights: WeightSequence) -> np.ndarray:
     """Banded forward substitution: the alpha with L alpha = taylor."""
     taylor = np.asarray(taylor, dtype=complex)
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    N = len(taylor)
-    a = np.asarray(weights.prefix(N), dtype=complex)
-    alpha = np.zeros(N, dtype=complex)
-    for n in range(N):
-        s = taylor[n]
-        for k in range(1, min(n, J) + 1):
-            s -= beta[k] * a[n - k] ** k * alpha[n - k]
-        alpha[n] = s
-    return alpha
+    return BasisBand(cfg, weights, len(taylor)).solve(taylor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Multiplication by the independent variable in the basis, expansion of the
 constant function and polynomial membership diagnostics.
 
-The matrix of z-multiplication in the basis f_n is strictly lower
-triangular with ones on the first subdiagonal; its deeper entries satisfy
+The matrix of z-multiplication in the basis f_n is M_z = L^-1 S L with L the
+band of basis Taylor coefficients and S the shift: strictly lower
+triangular with ones on the first subdiagonal.  Its deeper entries satisfy
 the same homogeneous window recursion as the re-expansion matrix, so the
 boundedness machinery carries over unchanged.
 """
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis_kernel import eval_f_prefix
-from .core import BoundaryConfig, Poly, WeightSequence, beta_coefficients
+from .core import BasisBand, BoundaryConfig, Poly, WeightSequence
 from .recursion import estimate_norm, growth_verdict
 
 
@@ -34,42 +35,31 @@ class MultiplierColumn:
 
 def mz_column(n: int, K_max: int, cfg: BoundaryConfig,
               weights: WeightSequence) -> MultiplierColumn:
-    """Coefficients of z * f_n in the basis: c_{n+1,n} = 1 and
-    c_{n+j+1,n} = beta_j a_n^j - sum_{i=1..min(j,J)} beta_i a_{n+j+1-i}^i
-    c_{n+j+1-i,n}, the sum turning homogeneous past the bandwidth."""
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    if K_max < J + 1:
+    """Coefficients of z * f_n in the basis, rows n+1 .. n+K_max: the
+    column of L^-1 S L, whose right-hand side S L e_n is the Taylor data of
+    f_n moved one row down.  c_{n+1,n} = 1."""
+    if K_max < cfg.J + 1:
         raise ValueError("K_max must be at least J + 1")
-    a = np.asarray(weights.a(np.arange(n, n + K_max + 1)), dtype=complex)
-    ents = np.zeros(K_max, dtype=complex)  # ents[j] = c_{n+1+j,n}
-    ents[0] = 1.0
-    for j in range(1, K_max):
-        s = beta[j] * a[0] ** j if j <= J else 0.0
-        for i in range(1, min(j, J) + 1):
-            s -= beta[i] * a[j + 1 - i] ** i * ents[j - i]
-        ents[j] = s
-    return MultiplierColumn(n, ents)
+    L = BasisBand(cfg, weights, K_max + 1, start=n)
+    rhs = np.zeros(K_max + 1, dtype=complex)
+    rhs[1: cfg.J + 2] = L.ab[:, 0]
+    return MultiplierColumn(n, L.solve(rhs, overwrite_b=True)[1:])
 
 
 def mz_section(N: int, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Dense N x N leading section of the z-multiplication matrix."""
-    Z = np.zeros((N, N), dtype=complex)
-    for n in range(N - 1):
-        col = mz_column(n, N - 1 - n if N - 1 - n > cfg.J else cfg.J + 1,
-                        cfg, weights)
-        k = min(len(col.entries), N - 1 - n)
-        Z[n + 1: n + 1 + k, n] = col.entries[:k]
-    if np.all(np.abs(Z.imag) < 1e-300):
-        return Z.real
-    return Z
+    """Dense N x N leading section of L^-1 S L (real when the band is)."""
+    L = BasisBand(cfg, weights, N)
+    return L.solve(L.dense(shift=1), overwrite_b=True)
 
 
 def mz_apply(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Basis coefficients of z * f for f = sum alpha_n f_n (same prefix length)."""
+    """Basis coefficients of z * f for f = sum alpha_n f_n (same prefix
+    length): L^-1 S L alpha in O(N J)."""
     alpha = np.asarray(alpha, dtype=complex)
-    N = len(alpha)
-    return mz_section(N, cfg, weights) @ alpha
+    L = BasisBand(cfg, weights, len(alpha))
+    y = np.roll(L.matvec(alpha), 1)      # S L alpha
+    y[:1] = 0.0
+    return L.solve(y, overwrite_b=True)
 
 
 @dataclass(frozen=True)
@@ -96,20 +86,13 @@ def _l2_checkpoints(coeffs: np.ndarray):
 
 def constant_expansion(N: int, cfg: BoundaryConfig,
                        weights: WeightSequence) -> ExpansionReport:
-    """Coefficients c_n of the constant function 1 = sum c_n f_n:
-    c_0 = 1, c_j = -sum_{i=1..min(j,J)} c_{j-i} beta_i a_{j-i}^i."""
+    """Coefficients c_0..c_N of the constant function 1 = sum c_n f_n:
+    c = L^-1 e_0."""
     if N < 1:
         raise ValueError("N must be positive")
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    a = np.asarray(weights.prefix(N + 1), dtype=complex)
-    c = np.zeros(N + 1, dtype=complex)
-    c[0] = 1.0
-    for j in range(1, N + 1):
-        s = 0.0 + 0.0j
-        for i in range(1, min(j, J) + 1):
-            s -= c[j - i] * beta[i] * a[j - i] ** i
-        c[j] = s
+    e0 = np.zeros(N + 1, dtype=complex)
+    e0[0] = 1.0
+    c = BasisBand(cfg, weights, N + 1).solve(e0, overwrite_b=True)
     checks, norms = _l2_checkpoints(c)
     return ExpansionReport(c, checks, norms, _plateau_verdict(norms))
 

@@ -1,10 +1,10 @@
-"""Coefficient recursions for the lower-triangular re-expansion matrix, the
-companion matrices driving them, product-norm estimates and boundedness
-diagnostics.
+"""The lower-triangular re-expansion matrix, the companion matrices driving
+its columns, product-norm estimates and boundedness diagnostics.
 
-Writing L for the matrix of basis Taylor coefficients and Lhat for the
-Taylor coefficients of z^n * phi(z), the unique lower-triangular solution C
-of Lhat = L C obeys
+Writing L for the band of basis Taylor coefficients and Lhat for the Taylor
+coefficients of z^n * phi(z), the re-expansion matrix is the unique
+lower-triangular C with Lhat = L C, computed as the banded solve
+C = L^-1 Lhat.  Its entries obey
 
     c_{n,n}   = 1
     c_{n+k,n} = beta_k - sum_{i=1..min(k,J)} beta_i a_{n+k-i}^i c_{n+k-i,n}
@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import (
+    BasisBand,
     BoundaryConfig,
     SearchFailureError,
     WeightSequence,
@@ -49,129 +50,58 @@ def c_column(n: int, K_max: int, cfg: BoundaryConfig,
              weights: WeightSequence) -> np.ndarray:
     """Column prefix c_{n+k,n} for k = 0..K_max."""
     beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    if K_max < J:
+    if K_max < len(beta) - 1:
         raise ValueError("K_max must be at least the bandwidth J")
-    a = weights.a(np.arange(n, n + K_max + 1))
-    col = np.zeros(K_max + 1, dtype=complex)
-    col[0] = 1.0
-    for k in range(1, K_max + 1):
-        s = beta[k] if k <= J else 0.0
-        for i in range(1, min(k, J) + 1):
-            s -= beta[i] * a[k - i] ** i * col[k - i]
-        col[k] = s
-    return col
+    rhs = np.zeros(K_max + 1, dtype=complex)
+    rhs[: len(beta)] = beta               # column n of Lhat, from row n down
+    L = BasisBand(cfg, weights, K_max + 1, start=n)
+    return L.solve(rhs, overwrite_b=True)
 
 
 def c_section(N: int, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Dense N x N leading section of C, all columns at once.
-
-    Sweeps by diagonal offset so every numpy operation covers a full
-    diagonal; equivalent to stacking c_column(n, ...) for n < N.
-    """
-    if N > 8192:
-        raise ValueError("dense sections are capped at N = 8192; "
-                         "use c_column for individual columns")
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    a = np.asarray(weights.prefix(N + 1), dtype=complex)
-    diags = [np.ones(N, dtype=complex)]
-    for k in range(1, N):
-        m = N - k
-        d = np.full(m, beta[k] if k <= J else 0.0, dtype=complex)
-        for i in range(1, min(k, J) + 1):
-            d -= beta[i] * a[k - i:k - i + m] ** i * diags[k - i][:m]
-        diags.append(d)
-    C = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N)
-    for k, d in enumerate(diags):
-        C[idx[: N - k] + k, idx[: N - k]] = d
-    if np.all(np.abs(C.imag) < 1e-300):
-        return C.real
-    return C
-
-
-def L_section(N: int, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Banded lower-triangular matrix of basis Taylor coefficients."""
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    a = np.asarray(weights.prefix(N), dtype=complex)
-    L = np.zeros((N, N), dtype=complex)
-    for k in range(J + 1):
-        n = np.arange(0, N - k)
-        L[n + k, n] = beta[k] * a[n] ** k
-    return L
-
-
-def Lhat_section(N: int, cfg: BoundaryConfig) -> np.ndarray:
-    """Banded lower-triangular Taylor coefficients of z^n * phi(z)."""
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    M = np.zeros((N, N), dtype=complex)
-    for k in range(J + 1):
-        n = np.arange(0, N - k)
-        M[n + k, n] = beta[k]
-    return M
+    """Dense N x N leading section of C = L^-1 Lhat (real when the band is)."""
+    L = BasisBand(cfg, weights, N)
+    Lhat = BasisBand(cfg, None, N)
+    rhs = Lhat.dense(dtype=np.result_type(L.ab, Lhat.ab))
+    return L.solve(rhs, overwrite_b=True)
 
 
 def triangular_solve_oracle(N: int, cfg: BoundaryConfig,
                             weights: WeightSequence) -> np.ndarray:
     """Solve Lhat = L C directly by dense forward substitution.
 
-    Independent of c_column / c_section: relies on scipy's triangular
-    solver, so recursion bugs cannot hide in both routes at once.
+    Independent of BasisBand: both dense matrices are built here entry by
+    entry and scipy's triangular solver does the rest, so a band bug cannot
+    hide in both routes at once.
     """
-    J = len(beta_coefficients(cfg)) - 1
+    beta = beta_coefficients(cfg)
+    J = len(beta) - 1
     if N < J + 1:
         raise ValueError("section too small for the bandwidth")
-    L = L_section(N, cfg, weights)
-    Lhat = Lhat_section(N, cfg)
+    a = np.asarray(weights.prefix(N), dtype=complex)
+    L = np.zeros((N, N), dtype=complex)
+    Lhat = np.zeros((N, N), dtype=complex)
+    for k in range(J + 1):
+        n = np.arange(0, N - k)
+        L[n + k, n] = beta[k] * a[n] ** k
+        Lhat[n + k, n] = beta[k]
     return solve_triangular(L, Lhat, lower=True, unit_diagonal=True)
-
-
-class ColumnBandMatrix:
-    """Lazily generated lower-triangular matrix stored column by column.
-
-    ``generator(n, K_max)`` must return the column prefix starting at the
-    diagonal entry (row n) and extending K_max rows below it.  Computed
-    prefixes are cached and only extended, never recomputed.
-    """
-
-    def __init__(self, generator: Callable[[int, int], np.ndarray],
-                 min_rows: int = 8):
-        self._generator = generator
-        self._min_rows = min_rows
-        self._columns: dict = {}
-
-    def column(self, n: int, K_max: int) -> np.ndarray:
-        cached = self._columns.get(n)
-        if cached is None or len(cached) < K_max + 1:
-            cached = np.asarray(
-                self._generator(n, max(K_max, self._min_rows)), dtype=complex)
-            self._columns[n] = cached
-        return cached[: K_max + 1]
-
-    def section(self, N: int) -> np.ndarray:
-        out = np.zeros((N, N), dtype=complex)
-        for n in range(N):
-            col = self.column(n, N - 1 - n)
-            out[n: n + len(col), n] = col
-        return out
-
-    def column_l2_norms(self, N: int) -> np.ndarray:
-        """l2 norms of the first N rows of each of the first N columns."""
-        return np.array([
-            np.linalg.norm(self.column(n, N - 1 - n)) for n in range(N)
-        ])
-
-
-def c_matrix(cfg: BoundaryConfig, weights: WeightSequence) -> ColumnBandMatrix:
-    return ColumnBandMatrix(lambda n, K: c_column(n, K, cfg, weights))
 
 
 # ---------------------------------------------------------------------------
 # companion matrices and eigenstructure
 # ---------------------------------------------------------------------------
+
+def _companion(ab: np.ndarray) -> np.ndarray:
+    """Companion matrix of a J-column band window: shift rows above the
+    bottom row -(ab[J, 0], ..., ab[1, J-1]), the band entries that meet on
+    the row just below the window."""
+    J = ab.shape[1]
+    M = np.eye(J, k=1, dtype=complex)
+    idx = np.arange(J)
+    M[J - 1, :] = -ab[J - idx, idx]
+    return M
+
 
 def companion_matrix(n: int, cfg: BoundaryConfig,
                      weights: WeightSequence) -> np.ndarray:
@@ -181,29 +111,14 @@ def companion_matrix(n: int, cfg: BoundaryConfig,
     The column window v_{j,n} = (c_{j-J+1,n}, ..., c_{j,n}) advances by
     v_{j,n} = M_{j-1} v_{j-1,n} for j > n + J.
     """
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    if n - J + 1 < 0:
+    if n - cfg.J + 1 < 0:
         raise ValueError("companion matrix needs n >= J - 1")
-    M = np.zeros((J, J), dtype=complex)
-    for r in range(J - 1):
-        M[r, r + 1] = 1.0
-    idx = np.arange(J)
-    powers = J - idx
-    M[J - 1, :] = -beta[powers] * np.asarray(
-        weights.a(n - J + 1 + idx), dtype=complex) ** powers
-    return M
+    return _companion(BasisBand(cfg, weights, cfg.J, start=n - cfg.J + 1).ab)
 
 
 def companion_limit(cfg: BoundaryConfig) -> np.ndarray:
     """Entrywise limit of M_n: bottom row (-beta_J, ..., -beta_1)."""
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    M = np.zeros((J, J), dtype=complex)
-    for r in range(J - 1):
-        M[r, r + 1] = 1.0
-    M[J - 1, :] = -beta[J - np.arange(J)]
-    return M
+    return _companion(BasisBand(cfg, None, cfg.J).ab)
 
 
 @dataclass(frozen=True)
@@ -301,10 +216,12 @@ def product_norm(n: int, mu: int, cfg: BoundaryConfig, weights: WeightSequence,
     eigenvector basis of the limit matrix (Mhat = X^{-1} M X)."""
     if n <= cfg.J:
         raise ValueError("product requires n > J")
+    J = cfg.J
     basis = eigen_basis(cfg) if conjugated else None
-    P = np.eye(cfg.J, dtype=complex)
-    for m in range(n, n + mu):
-        M = companion_matrix(m, cfg, weights)
+    band = BasisBand(cfg, weights, mu + J - 1, start=n - J + 1)
+    P = np.eye(J, dtype=complex)
+    for m in range(mu):
+        M = _companion(band.ab[:, m: m + J])      # M_{n+m}
         if basis is not None:
             M = basis.Xinv @ M @ basis.X
         P = M @ P
@@ -379,11 +296,10 @@ def estimate_norm(M: np.ndarray, warm_start: Optional[np.ndarray] = None,
         pad[: len(warm_start)] = warm_start
         x = pad + 0.05 * x.astype(pad.dtype)
         x = x / np.linalg.norm(x)
-    Mh = M.conj().T
     lam = 0.0
     it = 0
     for it in range(1, maxit + 1):
-        y = Mh @ (M @ x)
+        y = np.conj(np.conj(M @ x) @ M)    # M^H M x without copying M^H
         ny = np.linalg.norm(y)
         new = math.sqrt(ny)
         converged = abs(new - lam) <= tol * max(new, 1.0)
@@ -477,7 +393,9 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
     for N in N_list:
         est, warm = estimate_norm(C[:N, :N], warm)
         estimates.append(est)
-    col_norms = np.linalg.norm(C, axis=0)
+    # column norms over real/imaginary views: no N x N temporary
+    parts = (C.real, C.imag) if np.iscomplexobj(C) else (C,)
+    col_norms = np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
     values = [e.value for e in estimates]
     plateau_rel = (values[-1] - values[-2]) / values[-1] if len(values) > 1 else np.inf
 

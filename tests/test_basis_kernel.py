@@ -122,6 +122,17 @@ def test_kernel_special_pair_closed_forms(cfg_pm1, harm1):
     assert kvm.tail_bound <= 1e-9
 
 
+def test_kernel_tail_bound_covers_long_table(cfg_one):
+    # one huge weight deep inside a table longer than any fixed sample range
+    tail = WeightSequence.harmonic(1.0, 2.0)
+    values = list(tail.prefix(6000))
+    values[4500] = 1e6
+    weights = WeightSequence.from_table(values, tail)
+    kv = kernel_eval(0.995, 0.995, cfg_one, weights, tol=1e-8)
+    true = np.sum(np.abs(eval_f_prefix(200_000, 0.995, cfg_one, weights)) ** 2)
+    assert abs(true - kv.value) <= kv.tail_bound <= 1e-8
+
+
 def test_kernel_hermitian(cfg_cube, harm1):
     pts = [0.5, 0.2 + 0.6j, cfg_cube.roots[0], cfg_cube.roots[2]]
     for z in pts:

@@ -200,9 +200,49 @@ def test_main_entrypoint(tmp_path):
     assert main(["plot", str(tmp_path / "m_out.series.csv")]) == 0
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("BANDKERN_THREADS", "2")
-    cfgp = write_config(tmp_path, "t.json", truncations=[64, 128])
-    prefix = str(tmp_path / "t_out")
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.7, True, "5"])
+def test_invalid_trials_is_config_error(tmp_path, trials):
+    # an empty or fractional number of trials must not yield a vacuous pass
+    cfgp = write_config(
+        tmp_path, "trials.json",
+        experiment="decomposition",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        truncations=[128, 256],
+        trials=trials,
+        expect_verdict="pass",
+    )
+    prefix = str(tmp_path / "trials_out")
+    assert run(cfgp, out=prefix) == 2
+    diag = read_summary(prefix)
+    assert diag["status"] == "error"
+    assert "trials" in diag["error"]["message"]
+
+
+def test_single_truncation_summary_is_strict_json(tmp_path):
+    cfgp = write_config(
+        tmp_path, "one.json",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="containment",
+        truncations=[128],
+    )
+    prefix = str(tmp_path / "one_out")
     assert run(cfgp, out=prefix) == 0
-    assert read_summary(prefix)["threads"] == 2
+    with open(prefix + ".summary.json") as fh:
+        summary = json.load(fh, parse_constant=_reject_constant)
+    assert summary["measurements"]["plateau_rel"] is None
+
+
+def test_oversized_multiplier_section_is_config_error(tmp_path):
+    cfgp = write_config(
+        tmp_path, "big.json",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="multiplier",
+        truncations=[16384],
+    )
+    prefix = str(tmp_path / "big_out")
+    assert run(cfgp, out=prefix) == 2
+    assert "capped" in read_summary(prefix)["error"]["message"]

@@ -11,7 +11,6 @@ from bandkern import (
     Poly,
     WeightSequence,
     beta_coefficients,
-    eval_poly,
     homogeneous_symmetric,
     louck_power_sum,
     mu_weights,
@@ -90,13 +89,13 @@ def test_beta_equals_signed_elementary():
             assert abs(beta[k] - expect) <= 1e-9
 
 
-# --- eval_poly ---------------------------------------------------------------
+# --- polynomial evaluation ---------------------------------------------------
 
 def test_eval_poly_examples(cfg_pm1):
     phi = phi_from_roots(cfg_pm1)
-    assert abs(eval_poly(phi, 1.0)) <= 1e-15
-    assert abs(eval_poly(phi, 0.0) - 1.0) <= 1e-15
-    assert abs(eval_poly(phi, 0.5) - 0.75) <= 1e-15
+    assert abs(phi(1.0)) <= 1e-15
+    assert abs(phi(0.0) - 1.0) <= 1e-15
+    assert abs(phi(0.5) - 0.75) <= 1e-15
 
 
 def test_poly_arithmetic():

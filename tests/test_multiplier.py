@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from bandkern import (
     BoundaryConfig,
@@ -8,6 +9,7 @@ from bandkern import (
     WeightSequence,
     advance_window,
     beta_coefficients,
+    c_section,
     constant_expansion,
     eval_f_prefix,
     h2_coeffs,
@@ -21,6 +23,29 @@ from bandkern import (
 from bandkern.multiplier import constant_sup_error
 
 from conftest import random_rational_config
+
+ORACLE_RTOL = 1e-12
+
+
+def dense_basis_matrix(N, cfg, weights):
+    """L[n+k, n] = beta_k a_n^k written entry by entry, without BasisBand."""
+    beta = beta_coefficients(cfg)
+    a = np.asarray(weights.prefix(N), dtype=complex)
+    L = np.zeros((N, N), dtype=complex)
+    for n in range(N):
+        for k in range(min(cfg.J, N - 1 - n) + 1):
+            L[n + k, n] = beta[k] * a[n] ** k
+    return L
+
+
+def random_weights(rng):
+    if rng.uniform() < 0.5:
+        return WeightSequence.harmonic(float(rng.uniform(0.3, 2.5)), 2.0)
+    return WeightSequence.power_law(float(rng.uniform(0.6, 2.5)))
+
+
+def rel_err(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
 # --- multiplication columns -----------------------------------------------------
@@ -57,6 +82,35 @@ def test_mz_series_multiplication_oracle():
             rhs = h2_coeffs(Z @ e_n, cfg, weights)
             keep = N - cfg.J - 1
             assert np.max(np.abs(lhs[:keep] - rhs[:keep])) <= 1e-10
+
+
+def test_mz_routes_match_dense_oracle():
+    # M_z = L^-1 S L by a dense triangular solve of an entrywise L
+    rng = np.random.default_rng(24)
+    for _ in range(8):
+        cfg = random_rational_config(rng, J_max=4)
+        weights = random_weights(rng)
+        N = 96
+        L = dense_basis_matrix(N, cfg, weights)
+        ref = solve_triangular(L, np.eye(N, k=-1) @ L, lower=True,
+                               unit_diagonal=True)
+        assert rel_err(mz_section(N, cfg, weights), ref) <= ORACLE_RTOL
+        alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        assert rel_err(mz_apply(alpha, cfg, weights), ref @ alpha) <= ORACLE_RTOL
+        n = int(rng.integers(0, 40))
+        col = mz_column(n, N - 1 - n, cfg, weights)
+        assert rel_err(col.entries, ref[n + 1:, n]) <= ORACLE_RTOL
+
+
+def test_sections_real_exactly_when_band_is(cfg_pm1, cfg_cube, harm1):
+    for section in (c_section, mz_section):
+        assert section(64, cfg_pm1, harm1).dtype == np.float64
+        assert section(64, cfg_cube, harm1).dtype == np.complex128
+
+
+def test_mz_section_cap(cfg_one, harm1):
+    with pytest.raises(ValueError):
+        mz_section(8193, cfg_one, harm1)
 
 
 def test_mz_tail_matches_window_recursion(cfg_cube, harm1):
@@ -98,6 +152,20 @@ def test_constant_expansion_approximates_one(cfg_pm1, harm1):
     err = constant_sup_error(rep.coeffs, cfg_pm1, harm1, radius=0.9)
     assert err <= 1e-6
     assert rep.verdict == "likely-bounded"
+
+
+def test_constant_expansion_matches_dense_oracle():
+    rng = np.random.default_rng(25)
+    for _ in range(8):
+        cfg = random_rational_config(rng, J_max=4)
+        weights = random_weights(rng)
+        N = 200
+        e0 = np.zeros(N + 1)
+        e0[0] = 1.0
+        ref = solve_triangular(dense_basis_matrix(N + 1, cfg, weights), e0,
+                               lower=True, unit_diagonal=True)
+        rep = constant_expansion(N, cfg, weights)
+        assert rel_err(rep.coeffs, ref) <= ORACLE_RTOL
 
 
 def test_constant_expansion_validates(cfg_pm1, harm1):

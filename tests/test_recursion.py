@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bandkern import (
+    BasisBand,
     BoundaryConfig,
     SearchFailureError,
     WeightSequence,
@@ -27,9 +28,6 @@ from bandkern import (
     triangular_solve_oracle,
 )
 from bandkern.recursion import (
-    L_section,
-    Lhat_section,
-    c_matrix,
     decay_rate_samples,
     growth_verdict,
     starting_alpha_limit,
@@ -75,22 +73,31 @@ def test_c_section_matches_columns(cfg_cube, harm1):
 
 
 def test_oracle_reproduces_displayed_band_entries(cfg_pm1, pow2):
-    L = L_section(6, cfg_pm1, pow2)
-    assert_allclose(np.diag(L, -2)[:3], [-9.0 / 16, -64.0 / 81, -225.0 / 256],
+    L = BasisBand(cfg_pm1, pow2, 6)
+    assert_allclose(L.ab[2, :3], [-9.0 / 16, -64.0 / 81, -225.0 / 256],
                     atol=1e-15)
-    Lhat = Lhat_section(6, cfg_pm1)
-    assert_allclose(np.diag(Lhat, -2), -np.ones(4), atol=1e-15)
-    assert_allclose(np.diag(Lhat, -1), np.zeros(5), atol=1e-15)
+    Lhat = BasisBand(cfg_pm1, None, 6)
+    assert_allclose(Lhat.ab[2, :4], -np.ones(4), atol=1e-15)
+    assert_allclose(Lhat.ab[1, :5], np.zeros(5), atol=1e-15)
 
 
 def test_basis_band_converges_to_target_band(cfg_pm1, harm1):
     # entries beta_k a_n^k approach beta_k column by column as n grows
     N = 2048
-    L = L_section(N, cfg_pm1, harm1)
-    Lhat = Lhat_section(N, cfg_pm1)
-    gaps = [np.max(np.abs((L - Lhat)[:, n: n + 1])) for n in (10, 100, 1000)]
+    L = BasisBand(cfg_pm1, harm1, N)
+    Lhat = BasisBand(cfg_pm1, None, N)
+    gaps = [np.max(np.abs(L.ab[:, n] - Lhat.ab[:, n])) for n in (10, 100, 1000)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 2e-3
+
+
+def test_basis_band_dense_and_start_offset(cfg_cube, harm1):
+    # the band of columns 5.. is the trailing block of the full band
+    full = BasisBand(cfg_cube, harm1, 12).dense()
+    assert_allclose(BasisBand(cfg_cube, harm1, 7, start=5).dense(), full[5:, 5:])
+    shifted = BasisBand(cfg_cube, harm1, 12).dense(shift=1)
+    assert_allclose(shifted[1:, :-1], full[:-1, :-1])
+    assert np.all(shifted[0] == 0) and np.all(shifted[:, -1] == 0)
 
 
 def test_c_section_cap():
@@ -112,16 +119,6 @@ def test_recursion_matches_triangular_oracle():
         assert np.max(np.abs(
             c_section(N, cfg, weights) - triangular_solve_oracle(N, cfg, weights)
         )) <= 1e-10
-
-
-def test_column_band_matrix_cache(cfg_pm1, harm1):
-    M = c_matrix(cfg_pm1, harm1)
-    col = M.column(3, 10)
-    assert_allclose(col, c_column(3, 10, cfg_pm1, harm1))
-    sec = M.section(12)
-    assert_allclose(sec, c_section(12, cfg_pm1, harm1), atol=1e-14)
-    norms = M.column_l2_norms(12)
-    assert norms[0] == pytest.approx(np.linalg.norm(sec[:, 0]))
 
 
 # --- companion matrices ------------------------------------------------------
