@@ -50,12 +50,12 @@ from .recursion import (
     companion_matrix,
     containment_report,
     eigen_basis,
-    estimate_norm,
     fit_starting_decay,
     linearization_parts,
     mu_search,
     nu0_expansion,
     product_norm,
+    section_norm,
     starting_vector,
     triangular_solve_oracle,
 )

@@ -12,6 +12,7 @@ requested in the config and the computed verdict did not affirm it.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -110,12 +111,16 @@ def _parse_complex(obj, cfg: Optional[BoundaryConfig]) -> complex:
             if not 0 <= idx < cfg.J:
                 raise ConfigurationError(f"no such root {obj!r}")
             return cfg.roots[idx]
-        return complex(Fraction(obj))
-    if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise ConfigurationError(f"cannot parse point {obj!r}")
+        z = complex(Fraction(obj))
+    elif isinstance(obj, dict):
+        z = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        z = complex(obj)
+    else:
+        raise ConfigurationError(f"cannot parse point {obj!r}")
+    if not cmath.isfinite(z):
+        raise ConfigurationError(f"point {obj!r} is not finite")
+    return z
 
 
 def _parse_weights(obj) -> WeightSequence:
@@ -162,9 +167,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not 0.0 < tolerance <= 1e-2:
         raise ConfigurationError("tolerance must lie in (0, 1e-2]")
     seed = int(raw.get("seed", 0))
-    points = [_parse_complex(p, cfg) if not isinstance(p, list)
-              else [_parse_complex(q, cfg) for q in p]
-              for p in raw.get("points", [])]
+    points = raw.get("points", [])
+    if not isinstance(points, list):
+        raise ConfigurationError("points must be a list of points or pairs")
+    points = [[_parse_complex(q, cfg) for q in p]
+              if isinstance(p, list) and len(p) == 2 else _parse_complex(p, cfg)
+              for p in points]
     trials = raw.get("trials", 5)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ConfigurationError("trials must be an integer >= 1")
@@ -188,6 +196,7 @@ def _run_containment(ec: ExperimentConfig):
     meas = {
         "plateau_rel": rep.plateau_rel,
         "verdict_reason": rep.verdict_reason,
+        "norm_residual_max": max(e.residual for e in rep.norm_estimates),
     }
     if rep.rate_measured is not None:
         meas["decay_rate"] = rep.rate_measured
@@ -251,19 +260,14 @@ def _run_multiplier(ec: ExperimentConfig):
              for e in rep.shifted_norms]
     rows += [(int(c), "const_l2", float(v))
              for c, v in zip(exp.checkpoints, exp.partial_norms)]
-    meas = {"constant_sup_error": sup_err}
+    meas = {"constant_sup_error": sup_err,
+            "norm_residual_max": max(e.residual for e in
+                                     rep.full_norms + rep.shifted_norms)}
     return {"mz_growth": rep.verdict, "constant_l2": exp.verdict}, meas, rows
 
 
 def _run_kernel_eval(ec: ExperimentConfig):
-    pairs = []
-    for p in ec.points:
-        if isinstance(p, list):
-            if len(p) != 2:
-                raise ConfigurationError("kernel-eval points must be pairs")
-            pairs.append((p[0], p[1]))
-        else:
-            pairs.append((p, p))
+    pairs = [tuple(p) if isinstance(p, list) else (p, p) for p in ec.points]
     if not pairs:
         pairs = [(z, z) for z in ec.cfg.roots]
     rows = []

@@ -257,7 +257,8 @@ class BasisBand:
 
     Every coefficient route of the package is a solve or a product with
     such a band: C = L^-1 Lhat, M_z = L^-1 S L (S the shift), the constant
-    function L^-1 e_0 and the quotient map Lhat^-1 L.
+    function L^-1 e_0 and the quotient map Lhat^-1 L; the section norms
+    use the adjoints of these products as well.
     """
 
     def __init__(self, cfg: BoundaryConfig, weights: Optional["WeightSequence"],
@@ -272,19 +273,23 @@ class BasisBand:
             self.ab[k] = b * a ** k
         self.N, self.J = N, len(beta) - 1
 
-    def matvec(self, x) -> np.ndarray:
-        """L x for x of length N, one pass per diagonal."""
+    def matvec(self, x, trans: str = "N") -> np.ndarray:
+        """L x (trans "C": L^H x) for x of length N, one pass per diagonal."""
         x = np.asarray(x)
         y = np.zeros(self.N, dtype=np.result_type(self.ab, x))
-        for k in range(self.J + 1):
-            y[k:] += self.ab[k, : self.N - k] * x[: self.N - k]
+        for k in range(min(self.J, self.N - 1) + 1):
+            if trans == "C":
+                y[: self.N - k] += self.ab[k, : self.N - k].conj() * x[k:]
+            else:
+                y[k:] += self.ab[k, : self.N - k] * x[: self.N - k]
         return y
 
-    def solve(self, b, overwrite_b: bool = False) -> np.ndarray:
-        """x with L x = b (N rows, one or more columns) by forward
-        substitution without pivoting (LAPACK ?tbtrs)."""
+    def solve(self, b, overwrite_b: bool = False, trans: str = "N") -> np.ndarray:
+        """x with L x = b (trans "C": L^H x = b; N rows, one or more
+        columns) by substitution without pivoting (LAPACK ?tbtrs)."""
         tbtrs = get_lapack_funcs("tbtrs", (self.ab, b))
-        x, info = tbtrs(self.ab, b, uplo="L", diag="U", overwrite_b=overwrite_b)
+        x, info = tbtrs(self.ab, b, uplo="L", trans=trans, diag="U",
+                        overwrite_b=overwrite_b)
         if info != 0:
             raise ValueError(f"?tbtrs rejected argument {-info}")
         return x
@@ -398,6 +403,8 @@ class WeightSequence:
                     "table weights need a harmonic or powerlaw tail rule"
                 )
             vals = tuple(complex(v) for v in self.values)
+            if not any(v.imag for v in vals):     # a real table stays real
+                vals = tuple(v.real for v in vals)
             object.__setattr__(self, "values", vals)
             if any(v == 1.0 for v in vals):
                 raise ConfigurationError("1 - a_n must not vanish on the table")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis_kernel import eval_f_prefix
 from .core import BasisBand, BoundaryConfig, Poly, WeightSequence
-from .recursion import estimate_norm, growth_verdict
+from .recursion import growth_verdict, section_norm
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,19 @@ def mz_section(N: int, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarr
     return L.solve(L.dense(shift=1), overwrite_b=True)
 
 
+def _shift(x: np.ndarray, k: int = 1) -> np.ndarray:
+    """S x for k = 1 and S^T x for k = -1, S the shift one row down."""
+    y = np.roll(x, k)
+    y[slice(None, 1) if k == 1 else slice(-1, None)] = 0.0
+    return y
+
+
 def mz_apply(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
     """Basis coefficients of z * f for f = sum alpha_n f_n (same prefix
     length): L^-1 S L alpha in O(N J)."""
     alpha = np.asarray(alpha, dtype=complex)
     L = BasisBand(cfg, weights, len(alpha))
-    y = np.roll(L.matvec(alpha), 1)      # S L alpha
-    y[:1] = 0.0
-    return L.solve(y, overwrite_b=True)
+    return L.solve(_shift(L.matvec(alpha)), overwrite_b=True)
 
 
 @dataclass(frozen=True)
@@ -134,20 +139,17 @@ def mz_norm_report(cfg: BoundaryConfig, weights: WeightSequence,
                    growth_tol: float = 0.05) -> MultiplierNormReport:
     """Truncated multiplication-matrix norms at dyadic sizes, both as-is and
     with the leading subdiagonal of ones removed (the shift part is an
-    isometry and can mask growth of the remainder)."""
+    isometry and can mask growth of the remainder).  Both operators,
+    L^-1 S L and L^-1 S L - S, are applied matrix-free through the band."""
     N_list = sorted(int(N) for N in N_list)
-    Nmax = N_list[-1]
-    Z = mz_section(Nmax, cfg, weights)
-    S = Z.copy()
-    idx = np.arange(Nmax - 1)
-    S[idx + 1, idx] = 0.0
     full, shifted = [], []
-    warm_f = warm_s = None
     for N in N_list:
-        est, warm_f = estimate_norm(Z[:N, :N], warm_f)
-        full.append(est)
-        est_s, warm_s = estimate_norm(S[:N, :N], warm_s)
-        shifted.append(est_s)
+        L = BasisBand(cfg, weights, N)
+        mz = (lambda x: L.solve(_shift(L.matvec(x))),           # M_z x and M_z^H y
+              lambda y: L.matvec(_shift(L.solve(y, trans="C"), -1), trans="C"))
+        full.append(section_norm(N, *mz, L.ab.dtype))
+        shifted.append(section_norm(N, lambda x: mz[0](x) - _shift(x),
+                                    lambda y: mz[1](y) - _shift(y, -1), L.ab.dtype))
     verdict = growth_verdict([e.value for e in full], plateau_tol, growth_tol)
     return MultiplierNormReport(tuple(N_list), tuple(full), tuple(shifted), verdict)
 

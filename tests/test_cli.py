@@ -236,13 +236,73 @@ def test_single_truncation_summary_is_strict_json(tmp_path):
     assert summary["measurements"]["plateau_rel"] is None
 
 
-def test_oversized_multiplier_section_is_config_error(tmp_path):
+def test_oversized_containment_section_is_config_error(tmp_path):
+    # containment still takes its column norms from the dense section of C
     cfgp = write_config(
         tmp_path, "big.json",
         weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
-        experiment="multiplier",
+        experiment="containment",
         truncations=[16384],
     )
     prefix = str(tmp_path / "big_out")
     assert run(cfgp, out=prefix) == 2
     assert "capped" in read_summary(prefix)["error"]["message"]
+
+
+def test_multiplier_run_beyond_dense_cap(tmp_path):
+    # M_z norms are matrix-free, so no dense cap applies to them
+    cfgp = write_config(
+        tmp_path, "big_mz.json",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="multiplier",
+        truncations=[8192, 16384],
+    )
+    prefix = str(tmp_path / "big_mz_out")
+    assert run(cfgp, out=prefix) == 0
+    rows = [line.split(",") for line in
+            open(prefix + ".series.csv").read().splitlines()[1:]]
+    norms = [float(r[3]) for r in rows if r[2] == "mz_norm"]
+    assert [int(r[1]) for r in rows if r[2] == "mz_norm"] == [8192, 16384]
+    assert norms[1] - norms[0] >= -1e-10
+
+
+@pytest.mark.parametrize("experiment", ["containment", "multiplier"])
+def test_summary_reports_norm_residual(tmp_path, experiment):
+    cfgp = write_config(
+        tmp_path, "res.json",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment=experiment,
+        truncations=[128, 256],
+    )
+    prefix = str(tmp_path / "res_out")
+    assert run(cfgp, out=prefix) == 0
+    residual = read_summary(prefix)["measurements"]["norm_residual_max"]
+    assert 0.0 <= residual <= 1e-10
+
+
+def test_points_object_is_config_error(tmp_path):
+    # an object is not a list of points, even when its keys parse as points
+    cfgp = write_config(
+        tmp_path, "pts.json",
+        roots={"angles": ["0"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="kernel-eval",
+        points={"z1": 1},
+    )
+    prefix = str(tmp_path / "pts_out")
+    assert run(cfgp, out=prefix) == 2
+    assert "points" in read_summary(prefix)["error"]["message"]
+
+
+def test_non_finite_point_is_config_error(tmp_path):
+    cfgp = write_config(
+        tmp_path, "nan.json",
+        roots={"angles": ["0"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="domain",
+        truncations=[1024],
+        points=[{"re": float("nan")}],
+    )
+    prefix = str(tmp_path / "nan_out")
+    assert run(cfgp, out=prefix) == 2
+    assert "finite" in read_summary(prefix)["error"]["message"]

@@ -195,6 +195,20 @@ def test_table_rejects_value_one():
         WeightSequence.from_table([0.5, 1.0], WeightSequence.harmonic(1.0))
 
 
+def test_table_weights_keep_real_values_real():
+    harmonic = WeightSequence.harmonic(1.0, 2.0)
+    real = WeightSequence.from_table(harmonic.prefix(10), harmonic)
+    n = np.arange(20)
+    for out in (real.a(n), real.one_minus_a(n), real.prefix(20)):
+        assert out.dtype == np.float64
+    assert isinstance(real.a(3), float)
+    assert real.a(3) == harmonic.a(3)
+    cplx = WeightSequence.from_table([0.5 + 0.1j, 0.7], harmonic)
+    for out in (cplx.a(n), cplx.one_minus_a(n), cplx.prefix(20)):
+        assert out.dtype == np.complex128
+    assert isinstance(cplx.a(0), complex)
+
+
 def test_invalid_rates():
     with pytest.raises(ConfigurationError):
         WeightSequence.harmonic(0.0)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from bandkern import (
+    BasisBand,
     BoundaryConfig,
     Poly,
     WeightSequence,
@@ -100,6 +101,22 @@ def test_mz_routes_match_dense_oracle():
         n = int(rng.integers(0, 40))
         col = mz_column(n, N - 1 - n, cfg, weights)
         assert rel_err(col.entries, ref[n + 1:, n]) <= ORACLE_RTOL
+
+
+def test_basis_band_products_and_adjoints_match_dense_oracle():
+    # L x, L^H y and L^H x = b against an entrywise L, down to N below J + 1
+    rng = np.random.default_rng(25)
+    for _ in range(8):
+        cfg = random_rational_config(rng, J_max=4)
+        weights = random_weights(rng)
+        for N in (1, 2, cfg.J, 96):
+            L, ref = BasisBand(cfg, weights, N), dense_basis_matrix(N, cfg, weights)
+            x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            assert rel_err(L.matvec(x), ref @ x) <= ORACLE_RTOL
+            assert rel_err(L.matvec(x, trans="C"), ref.conj().T @ x) <= ORACLE_RTOL
+            adj = solve_triangular(ref.conj().T, x, lower=False,
+                                   unit_diagonal=True)
+            assert rel_err(L.solve(x, trans="C"), adj) <= ORACLE_RTOL
 
 
 def test_sections_real_exactly_when_band_is(cfg_pm1, cfg_cube, harm1):

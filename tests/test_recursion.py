@@ -18,10 +18,11 @@ from bandkern import (
     companion_matrix,
     containment_report,
     eigen_basis,
-    estimate_norm,
     fit_starting_decay,
     linearization_parts,
     mu_search,
+    mz_norm_report,
+    mz_section,
     nu0_expansion,
     product_norm,
     starting_vector,
@@ -276,14 +277,23 @@ def test_entrywise_product_norm_bound():
 
 # --- norm estimation and containment -------------------------------------------
 
-def test_norm_estimate_methods(cfg_pm1, harm1):
-    C = c_section(600, cfg_pm1, harm1)
-    small, _ = estimate_norm(C[:256, :256])
-    assert small.method == "dense-SVD"
-    big, _ = estimate_norm(C)
-    assert big.method == "power-iteration"
-    exact = np.linalg.norm(C, 2)
-    assert big.value == pytest.approx(exact, rel=1e-6)
+def test_section_norms_match_dense_svd(cfg_pm1, cfg_cube, harm1):
+    # Lanczos norms of C, M_z and M_z - S against dense SVDs of the sections,
+    # on a real band (roots +-1) and a complex one (cube roots)
+    N_list = [1, 2, 3, 256, 600]
+    for cfg in (cfg_pm1, cfg_cube):
+        rep = containment_report(cfg, harm1, N_list)
+        mz = mz_norm_report(cfg, harm1, N_list)
+        C, Z = c_section(600, cfg, harm1), mz_section(600, cfg, harm1)
+        for k, N in enumerate(N_list):
+            for est, section in (
+                    (rep.norm_estimates[k], C[:N, :N]),
+                    (mz.full_norms[k], Z[:N, :N]),
+                    (mz.shifted_norms[k], Z[:N, :N] - np.eye(N, k=-1))):
+                assert est.truncation == N
+                assert est.value == pytest.approx(np.linalg.norm(section, 2),
+                                                  rel=1e-12)
+                assert est.residual <= 1e-10 * est.value
 
 
 def test_norm_estimates_monotone(cfg_pm1, harm1):
