@@ -17,8 +17,10 @@ weights = WeightSequence.harmonic(1.0, 2.0)
 print("kernel values, each with a certified bound on the discarded tail:")
 for z, w in [(0.0, 0.0), (0.5, 0.25), (1.0, 0.5), (1.0, 1.0)]:
     kv = kernel_eval(z, w, cfg, weights, tol=1e-10)
+    how = (f"closed form over {kv.rho_order} residue class(es)"
+           if kv.route == "closed_form" else f"{kv.truncation_n} terms")
     print(f"  K({z}, {w}) = {kv.value:.12f}   "
-          f"(tail <= {kv.tail_bound:.1e}, {kv.truncation_n} terms)")
+          f"(tail <= {kv.tail_bound:.1e}, {how})")
 
 print()
 print("K(1,1) has the closed form pi^2/6 - 1 =", np.pi ** 2 / 6 - 1)

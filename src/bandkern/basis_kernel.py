@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from .core import (
     BoundaryConfig,
     DomainError,
     Poly,
+    TWO_PI,
     TruncationError,
     WeightSequence,
     beta_coefficients,
@@ -34,6 +36,7 @@ DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 
 _N_CAP = 1 << 23          # refuse direct sums beyond this many terms
+_U = 2.0 ** -53           # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,27 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class KernelValue:
+    """A kernel value and how its error budget was spent.
+
+    ``route`` is "closed_form" (a pair of roots whose rho = z_i conj(z_j)
+    has known order ``rho_order``) or "explicit" (a truncated sum);
+    ``truncation_n`` counts the terms summed explicitly.  ``tail_bound`` is
+    the sum of three parts: the discarded tail (``tail_truncation``), the
+    Abel estimate of the constant part at roots of unknown rho order
+    (``tail_abel``) and the floating-point allowance (``tail_rounding``).
+    """
+
     value: complex
     truncation_n: int
-    tail_bound: float
+    route: str
+    rho_order: Optional[int] = None
+    tail_truncation: float = 0.0
+    tail_abel: float = 0.0
+    tail_rounding: float = 0.0
+
+    @property
+    def tail_bound(self) -> float:
+        return self.tail_truncation + self.tail_abel + self.tail_rounding
 
 
 def basis_coeffs(n: int, cfg: BoundaryConfig, weights: WeightSequence) -> BasisElement:
@@ -147,84 +168,189 @@ def kernel_eval(z, w, cfg: BoundaryConfig, weights: WeightSequence,
     """K(z, w) with |true - value| <= tail_bound <= tol.
 
     Interior arguments use the geometric majorant C^2 r^N/(1-r) with
-    r = |z| |w|.  A pair of boundary roots uses the factorized summand
-    (1-a_n) conj(1-a_n) phi_i(a_n z_i) conj(phi_j(a_n z_j)) rho^n with
-    rho = z_i conj(z_j): its constant part is summed in closed form
-    (trigamma / Hurwitz zeta) on the diagonal and bounded by an Abel
-    estimate off it, so only a short explicit sum is ever needed.
+    r = |z| |w|.  A pair of boundary roots sums
+    u_n^2 P(u_n) rho^n, u_n = 1 - a_n and rho = z_i conj(z_j), in closed
+    form when the order of rho is known (always on the diagonal, and for
+    configurations given by rational angles); otherwise a truncated sum
+    bounds the rest by a cubic remainder plus an Abel estimate.  Explicit
+    sums keep their rounding allowance (``_sum_allowance``) inside tol as
+    well.
 
     Raises DomainError outside the natural domain and TruncationError when
     no convergent majorant exists (e.g. powerlaw weights with p <= 1/2 at a
-    boundary root).
+    boundary root) or tol is out of reach.
     """
     z, w = complex(z), complex(w)
     kz, jz = classify_point(z, cfg)
     kw, jw = classify_point(w, cfg)
 
     if kz == "special" and kw == "special":
-        return _kernel_special_pair(jz, jw, cfg, weights, tol)
+        if not weights.square_summable:
+            raise TruncationError(
+                "kernel diverges at boundary roots: sum |1 - a_n|^2 = inf")
+        if jz == jw:
+            q = Fraction(0)       # rho = exp(2 pi i q) = 1
+        elif cfg.angles is not None:
+            q = (cfg.angles[jz] - cfg.angles[jw]) % 1
+        else:
+            return _kernel_abel_pair(jz, jw, cfg, weights, tol)
+        return _kernel_closed_pair(jz, jw, q, cfg, weights, tol)
 
     c_sup = _coeff_abs_bound(cfg, weights)
     r = (abs(z) if kz == "interior" else 1.0) * (abs(w) if kw == "interior" else 1.0)
-    # C^2 * r^N / (1 - r) <= tol
-    if r == 0.0:
-        N = len(beta_coefficients(cfg))
-    else:
-        N = max(8, int(math.ceil(math.log(tol * (1 - r) / c_sup ** 2) / math.log(r))) + 1)
-    if N > _N_CAP:
-        raise TruncationError(f"interior kernel sum needs {N} terms")
-    fz = eval_f_prefix(N, z, cfg, weights)
-    fw = fz if w == z else eval_f_prefix(N, w, cfg, weights)
-    value = complex(np.sum(fz * np.conj(fw)))
-    tail = c_sup ** 2 * r ** N / (1 - r) if r > 0 else 0.0
-    tail += 4e-16 * N * abs(value)  # float-summation allowance
-    return KernelValue(value, N, float(tail))
+
+    def pick(allowance):
+        # smallest N with C^2 r^N / (1 - r) + allowance <= tol
+        if r == 0.0:
+            return len(beta_coefficients(cfg)), 0.0, 0.0
+        N = max(8, int(math.ceil(
+            math.log((tol - allowance) * (1 - r) / c_sup ** 2) / math.log(r))))
+        while c_sup ** 2 * r ** N / (1 - r) + allowance > tol:
+            N += 1
+        if N > _N_CAP:
+            raise TruncationError(f"interior kernel sum needs {N} terms")
+        return N, c_sup ** 2 * r ** N / (1 - r), 0.0
+
+    def terms(n):
+        fz = eval_f_prefix(len(n), z, cfg, weights, start=n[0])
+        fw = fz if w == z else eval_f_prefix(len(n), w, cfg, weights, start=n[0])
+        return fz * np.conj(fw), _f_majorant(n, z, cfg, weights) * _f_majorant(
+            n, w, cfg, weights)
+
+    return _budgeted_sum(pick, terms, cfg.J, tol)
 
 
-def _kernel_special_pair(i: int, j: int, cfg: BoundaryConfig,
-                         weights: WeightSequence, tol: float) -> KernelValue:
-    if not weights.square_summable:
-        raise TruncationError(
-            "kernel diverges at boundary roots: sum |1 - a_n|^2 = inf")
-    zi, zj = cfg.roots[i], cfg.roots[j]
-    rho = zi * np.conj(zj)
-    diagonal = abs(rho - 1.0) <= 1e-14
+def _f_majorant(n: np.ndarray, z: complex, cfg: BoundaryConfig,
+                weights: WeightSequence) -> np.ndarray:
+    """M_n >= |f_n(z)| for the indices n: the polynomial eval_f_prefix
+    evaluates, with its coefficients and arguments taken in modulus."""
+    a = np.abs(weights.a(n))
+    j = _special_index(z, cfg)
+    if j is None:
+        absphi = Poly(np.abs(phi_from_roots(cfg).coeffs))
+        return abs(z) ** n * _poly_at_scaled(absphi, abs(z), a).real
+    absphi = Poly(np.abs(phi_reduced(cfg, j).coeffs))
+    return np.abs(weights.one_minus_a(n)) * _poly_at_scaled(absphi, 1.0, a).real
 
-    v_inf = complex(phi_reduced(cfg, i)(zi)) * np.conj(complex(phi_reduced(cfg, j)(zj)))
-    lip = _lipschitz_pair_bound(cfg, i, j, weights)
 
-    # choose N so that the cubic remainder and (off-diagonal) the Abel bound
-    # on the constant part both fit into tol
-    N = 1 << 12
+def _sum_allowance(terms: np.ndarray, majorant: np.ndarray, J: int) -> float:
+    """Rounding allowance u (N sum |t_n| + 8 (J+1) sum M_n) of an explicit
+    sum of N terms t_n with majorants M_n >= |t_n|.
+
+    The first part covers the summation (Higham 2002, 4.2), the second the
+    evaluation of each term, whose error scales with M_n rather than with
+    |t_n| where phi cancels.
+    """
+    return _U * (len(terms) * float(np.sum(np.abs(terms)))
+                 + 8 * (J + 1) * float(np.sum(majorant)))
+
+
+def _budgeted_sum(pick, terms_of, J: int, tol: float) -> KernelValue:
+    """Sum the terms t_n, n < N, where terms_of(n) = (t_n, M_n) for an index
+    array n and N = pick(allowance)[0] keeps the truncation and Abel parts
+    plus the rounding allowance within tol.  The allowance is read from the
+    terms themselves, so N is re-picked against it until it no longer
+    grows; a larger N only extends the terms already computed."""
+    allowance = 0.0
+    terms = majorant = np.zeros(0)
     while True:
-        rem = lip * weights.cube_tail_bound(N)
-        extra = 0.0
-        closed: Optional[float] = weights.sq_tail_exact(N) if diagonal else None
-        if diagonal and closed is None:
-            extra = abs(v_inf) * weights.sq_tail_bound(N)
-        if not diagonal:
-            u_next = abs(weights.one_minus_a(N)) ** 2
-            extra = abs(v_inf) * 4.0 * u_next / abs(1.0 - rho)
-        if rem + extra <= tol or N > _N_CAP:
-            break
-        N <<= 1
-    if rem + extra > tol:
-        raise TruncationError("no reachable truncation certifies the tolerance")
+        if not allowance < tol:
+            raise TruncationError(
+                f"rounding allowance {allowance:.3g} alone exceeds tol {tol:.3g}")
+        N, trunc, abel = pick(allowance)
+        if N > len(terms):
+            t, m = terms_of(np.arange(len(terms), N))
+            terms, majorant = np.concatenate((terms, t)), np.concatenate((majorant, m))
+        rounding = _sum_allowance(terms, majorant, J)
+        if rounding <= allowance:
+            return KernelValue(complex(np.sum(terms)), N, "explicit",
+                               tail_truncation=trunc, tail_abel=abel,
+                               tail_rounding=rounding)
+        allowance = rounding
 
-    n = np.arange(N)
+
+def _root_pair_terms(i: int, j: int, cfg: BoundaryConfig,
+                     weights: WeightSequence, n: np.ndarray,
+                     q: Optional[Fraction]) -> np.ndarray:
+    """The summands (1-a_n) conj(1-a_n) phi_i(a_n z_i) conj(phi_j(a_n z_j)) rho^n."""
+    zi, zj = cfg.roots[i], cfg.roots[j]
     one_minus = weights.one_minus_a(n)
     vi = _poly_at_scaled(phi_reduced(cfg, i), zi, weights.a(n))
     vj = _poly_at_scaled(phi_reduced(cfg, j), zj, weights.a(n))
     terms = one_minus * np.conj(one_minus) * vi * np.conj(vj)
-    if not diagonal:
-        q = cfg.angles[i] - cfg.angles[j] if cfg.angles is not None else None
-        terms = terms * phase_powers(q, np.angle(rho), n)
-    value = complex(np.sum(terms))
-    tail = rem + extra
-    if diagonal and closed is not None:
-        value += v_inf * closed
-    tail += 4e-16 * N * abs(value)  # float-summation allowance
-    return KernelValue(value, N, float(tail))
+    if i != j:
+        terms = terms * phase_powers(q, np.angle(zi * np.conj(zj)), n)
+    return terms
+
+
+def _reduced_in_u(cfg: BoundaryConfig, i: int) -> np.ndarray:
+    """Coefficients in u of phi_i((1 - u) z_i) = prod_{k != i} (1 - t_k + t_k u),
+    t_k = conj(z_k) z_i."""
+    coeffs = np.array([1.0 + 0j])
+    for k, w in enumerate(cfg.conjugates):
+        if k != i:
+            t = w * cfg.roots[i]
+            coeffs = np.convolve(coeffs, np.array([1.0 - t, t]))
+    return coeffs
+
+
+def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
+                        weights: WeightSequence, tol: float) -> KernelValue:
+    """K(z_i, z_j) = sum_m d_m sum_{r<d} rho^r S_{m+2,r} for rho of order d.
+
+    P(u) = phi_i((1-u) z_i) conj(phi_j((1-u) z_j)) = sum_m d_m u^m, and
+    S_{s,r} sums u_n^s over n = r mod d (``residue_power_sums``).  A table
+    head is summed explicitly and the tail rule takes over at its end T,
+    where the residue classes pick up the factor rho^T.
+    """
+    d = q.denominator
+    if d > _N_CAP:
+        raise TruncationError(f"closed form needs {d} residue classes")
+    T = len(weights.values)
+    value, rounding = 0.0j, 0.0
+    if T:
+        n = np.arange(T)
+        head = _root_pair_terms(i, j, cfg, weights, n, q)
+        majorant = (_f_majorant(n, cfg.roots[i], cfg, weights)
+                    * _f_majorant(n, cfg.roots[j], cfg, weights))
+        value, rounding = complex(np.sum(head)), _sum_allowance(head, majorant, cfg.J)
+    coeffs = np.convolve(_reduced_in_u(cfg, i), np.conj(_reduced_in_u(cfg, j)))
+    S = weights.residue_power_sums(np.arange(len(coeffs)) + 2, d, T)
+    phase = phase_powers(q, TWO_PI * float(q), np.arange(T, T + d))
+    value += complex(coeffs @ (S @ phase))
+    rounding += 64 * _U * float(np.abs(coeffs) @ np.sum(np.abs(S), axis=1))
+    if not rounding <= tol:
+        raise TruncationError(
+            f"rounding allowance {rounding:.3g} alone exceeds tol {tol:.3g}")
+    return KernelValue(value, T, "closed_form", d, tail_rounding=rounding)
+
+
+def _kernel_abel_pair(i: int, j: int, cfg: BoundaryConfig,
+                      weights: WeightSequence, tol: float) -> KernelValue:
+    """Off-diagonal roots of unknown rho order: a truncated sum whose rest is
+    bounded by the cubic remainder lip * sum_{n>=N} |u_n|^3 plus the Abel
+    estimate 4 |v_inf| u_N^2 / |1 - rho| of its constant part."""
+    zi, zj = cfg.roots[i], cfg.roots[j]
+    rho = zi * zj.conjugate()
+    v_inf = complex(phi_reduced(cfg, i)(zi)) * complex(phi_reduced(cfg, j)(zj)).conjugate()
+    lip = _lipschitz_pair_bound(cfg, i, j, weights)
+
+    def pick(allowance):
+        N = 1 << 12
+        while True:
+            rem = lip * weights.cube_tail_bound(N)
+            abel = abs(v_inf) * 4.0 * abs(weights.one_minus_a(N)) ** 2 / abs(1.0 - rho)
+            if rem + abel + allowance <= tol:
+                return N, rem, abel
+            N <<= 1
+            if N > _N_CAP:
+                raise TruncationError("no reachable truncation certifies the tolerance")
+
+    def terms(n):
+        return (_root_pair_terms(i, j, cfg, weights, n, None),
+                _f_majorant(n, zi, cfg, weights) * _f_majorant(n, zj, cfg, weights))
+
+    return _budgeted_sum(pick, terms, cfg.J, tol)
 
 
 @dataclass(frozen=True)

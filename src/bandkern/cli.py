@@ -270,16 +270,19 @@ def _run_kernel_eval(ec: ExperimentConfig):
     pairs = [tuple(p) if isinstance(p, list) else (p, p) for p in ec.points]
     if not pairs:
         pairs = [(z, z) for z in ec.cfg.roots]
-    rows = []
-    meas = {}
+    rows, routes = [], []
     for i, (z, w) in enumerate(pairs):
         kv = basis_kernel.kernel_eval(z, w, ec.cfg, ec.weights, ec.tolerance)
         rows.append((i, "kernel_re", kv.value.real))
         rows.append((i, "kernel_im", kv.value.imag))
         rows.append((i, "tail_bound", kv.tail_bound))
         rows.append((i, "truncation_n", float(kv.truncation_n)))
-    meas["pairs"] = len(pairs)
-    return {"kernel": "evaluated"}, meas, rows
+        routes.append({"route": kv.route, "rho_order": kv.rho_order,
+                       "truncation_n": kv.truncation_n,
+                       "tail": {"truncation": kv.tail_truncation,
+                                "abel": kv.tail_abel,
+                                "rounding": kv.tail_rounding}})
+    return {"kernel": "evaluated"}, {"pairs": len(pairs), "routes": routes}, rows
 
 
 def _run_identities(ec: ExperimentConfig):

@@ -159,7 +159,7 @@ class BoundaryConfig:
         if not roots:
             raise ConfigurationError("at least one boundary point is required")
         for z in roots:
-            if abs(abs(z) - 1.0) > TOL_UNIT:
+            if not abs(abs(z) - 1.0) <= TOL_UNIT:     # NaN fails too
                 raise ConfigurationError(f"point {z} is not on the unit circle")
         for i in range(len(roots)):
             for k in range(i + 1, len(roots)):
@@ -183,7 +183,7 @@ class BoundaryConfig:
     def from_points(cls, points: Iterable[complex]) -> "BoundaryConfig":
         pts = tuple(complex(z) for z in points)
         for z in pts:
-            if z == 0 or abs(abs(z) - 1.0) > TOL_UNIT:
+            if z == 0 or not abs(abs(z) - 1.0) <= TOL_UNIT:
                 raise ConfigurationError(f"point {z} is not on the unit circle")
         # snap the in-tolerance points exactly onto the circle
         return cls(tuple(z / abs(z) for z in pts))
@@ -496,10 +496,6 @@ class WeightSequence:
 
     # -- certified tail bounds ---------------------------------------------
 
-    def sq_tail_bound(self, N: int) -> float:
-        """Upper bound for sum_{n >= N} |1 - a_n|^2."""
-        return self._power_tail_bound(N, 2)
-
     def cube_tail_bound(self, N: int) -> float:
         """Upper bound for sum_{n >= N} |1 - a_n|^3."""
         return self._power_tail_bound(N, 3)
@@ -520,29 +516,29 @@ class WeightSequence:
             [1.0 - v for v in self.values[N:]]) ** power))
         return head + self.tail._power_tail_bound(len(self.values), power)
 
-    def sq_tail_exact(self, N: int) -> Optional[float]:
-        """sum_{n >= N} (1 - a_n)^2 in closed form, or None if unavailable.
+    def residue_power_sums(self, powers, d: int, start: int) -> np.ndarray:
+        """S[m, r] = sum_{k >= 0} (1 - a_{start + d k + r})^powers[m], r < d.
 
-        Only real-valued kinds admit the closed form (trigamma for harmonic,
-        Hurwitz zeta for powerlaw with 2p > 1).
+        The tail rule reads 1 - a_n = g(n + c) with g(x) = p/x (harmonic,
+        c the offset) or g(x) = x^-p (powerlaw, c = 2), so each residue
+        class is a Hurwitz zeta value (DLMF 25.11):
+          harmonic:  (p/d)^s zeta(s, (r + start + c)/d),
+          powerlaw:  d^(-p s) zeta(p s, (r + start + 2)/d).
+        Every sum converges when powers >= 2 and the weights are square
+        summable.  A table's closed form starts past its last value.
         """
-        from scipy.special import polygamma, zeta
+        from scipy.special import zeta
 
+        if self.kind == _TABLE:
+            if start < len(self.values):
+                raise ValueError("the closed form starts past the table")
+            return self.tail.residue_power_sums(powers, d, start)
+        s = np.asarray(powers, dtype=float)[:, None]
         if self.kind == _HARMONIC:
-            return float(self.p ** 2 * polygamma(1, N + self.offset))
-        if self.kind == _POWERLAW:
-            if 2 * self.p <= 1:
-                return None
-            return float(zeta(2 * self.p, N + 2.0))
-        if self.tail is None:
-            return None
-        if N >= len(self.values):
-            return self.tail.sq_tail_exact(N)
-        tail_part = self.tail.sq_tail_exact(len(self.values))
-        if tail_part is None:
-            return None
-        head = float(np.sum(np.abs([1.0 - v for v in self.values[N:]]) ** 2))
-        return head + tail_part
+            scale, order, c = self.p / d, s, self.offset
+        else:
+            scale, order, c = float(d) ** -self.p, self.p * s, 2.0
+        return scale ** s * zeta(order, (np.arange(d) + (start + c)) / d)
 
     def decay_factor_sup(self, n0: int, shift: int) -> float:
         """sup_{n >= n0} (n + shift)*|1 - a_n| / p for rate-hypothesis kinds.

@@ -62,6 +62,29 @@ def test_kernel_eval_run(tmp_path):
     assert values["tail_bound"] <= 1e-8
 
 
+def test_kernel_eval_summary_records_routes(tmp_path):
+    cfgp = write_config(
+        tmp_path, "kern.json",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="kernel-eval",
+        points=[["z1", "z2"], [{"re": 0.5}, {"re": 0.5}]],
+        tolerance=1e-10,
+    )
+    prefix = str(tmp_path / "kern_out")
+    assert run(cfgp, out=prefix) == 0
+    routes = json.load(open(prefix + ".summary.json"))["measurements"]["routes"]
+    closed, explicit = routes
+    assert closed["route"] == "closed_form" and closed["rho_order"] == 3
+    assert closed["truncation_n"] == 0
+    assert closed["tail"]["truncation"] == closed["tail"]["abel"] == 0.0
+    assert 0.0 < closed["tail"]["rounding"] <= 1e-10
+    assert explicit["route"] == "explicit" and explicit["rho_order"] is None
+    assert explicit["truncation_n"] > 0
+    assert explicit["tail"]["abel"] == 0.0
+    assert sum(explicit["tail"].values()) <= 1e-10
+
+
 def test_empty_truncations_is_config_error(tmp_path):
     cfgp = write_config(tmp_path, "bad.json", truncations=[])
     assert run(cfgp, out=str(tmp_path / "bad_out")) == 2

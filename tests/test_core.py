@@ -36,6 +36,20 @@ def test_config_rejects_duplicates():
         BoundaryConfig.from_points([0.5 + 0.1j])
 
 
+def test_config_constructor_rejects_nan_root():
+    with pytest.raises(ConfigurationError):
+        BoundaryConfig((float("nan"),))
+    with pytest.raises(ConfigurationError):
+        BoundaryConfig((1.0, complex(0.0, float("nan"))))
+
+
+def test_from_points_rejects_nan_root():
+    with pytest.raises(ConfigurationError):
+        BoundaryConfig.from_points([complex(float("nan"), 0.0)])
+    with pytest.raises(ConfigurationError):
+        BoundaryConfig.from_points([1.0, float("nan")])
+
+
 def test_root_powers_match_direct():
     cfg = BoundaryConfig.from_angles(["1/3", "5/7"])
     m = np.array([-5, -1, 0, 1, 7, 100])
@@ -224,17 +238,26 @@ def test_weights_converge_to_one():
         assert gaps[-1] < 1e-3
 
 
-def test_sq_tail_bounds_and_exact():
-    w = WeightSequence.harmonic(1.0, 2.0)
-    # true tail: sum_{n>=N} 1/(n+2)^2 = trigamma(N+2)
-    N = 50
-    brute = float(np.sum(w.one_minus_prefix(10_000_000)[N:] ** 2))
-    assert brute <= w.sq_tail_bound(N)
-    assert w.sq_tail_exact(N) == pytest.approx(brute, abs=1e-7)
+def test_residue_power_sums_match_brute_force():
+    # S[m, r] = sum_{k>=0} (1 - a_{N + d k + r})^s_m against explicit prefixes
+    N, powers = 50, [2, 3, 5]
+    w = WeightSequence.harmonic(1.0, 2.0)       # trigamma(N+2) at s=2, d=1
+    u = w.one_minus_prefix(10_000_000)[N:]
     wp = WeightSequence.power_law(2.0)
-    brutep = float(np.sum(np.asarray(wp.one_minus_prefix(1_000_000)[N:]) ** 2))
-    assert brutep <= wp.sq_tail_bound(N)
-    assert wp.sq_tail_exact(N) == pytest.approx(brutep, rel=1e-9)
+    up = np.asarray(wp.one_minus_prefix(1_000_000))[N:]
+    for d in (1, 3):
+        S = w.residue_power_sums(powers, d, N)
+        Sp = wp.residue_power_sums(powers, d, N)
+        assert S.shape == Sp.shape == (len(powers), d)
+        for m, s in enumerate(powers):
+            for r in range(d):
+                assert S[m, r] == pytest.approx(np.sum(u[r::d] ** s), abs=1e-7)
+                assert Sp[m, r] == pytest.approx(np.sum(up[r::d] ** s), rel=1e-9)
+    table = WeightSequence.from_table([0.1, 0.2, 0.3], w)
+    assert_allclose(table.residue_power_sums(powers, 3, 3),
+                    w.residue_power_sums(powers, 3, 3), rtol=0)
+    with pytest.raises(ValueError):
+        table.residue_power_sums(powers, 3, 2)
 
 
 def test_cube_tail_bound():
