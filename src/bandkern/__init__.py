@@ -45,7 +45,6 @@ from .recursion import (
     adams_mcguire_matrix,
     advance_window,
     c_column,
-    c_section,
     companion_limit,
     companion_matrix,
     containment_report,
@@ -86,7 +85,6 @@ from .multiplier import (
     mz_apply,
     mz_column,
     mz_norm_report,
-    mz_section,
     polynomial_membership,
 )
 

@@ -197,6 +197,7 @@ def _run_containment(ec: ExperimentConfig):
         "plateau_rel": rep.plateau_rel,
         "verdict_reason": rep.verdict_reason,
         "norm_residual_max": max(e.residual for e in rep.norm_estimates),
+        "column_norm_cancellation": rep.column_norm_cancellation,
     }
     if rep.rate_measured is not None:
         meas["decay_rate"] = rep.rate_measured

@@ -25,7 +25,6 @@ TOL_SEP = 1e-9        # minimal pairwise root separation
 TOL_IDENTITY = 1e-9   # default residual for the polynomial identities
 
 TWO_PI = 2.0 * math.pi
-DENSE_CAP = 8192      # largest N of a dense N x N section
 
 
 class ConfigurationError(ValueError):
@@ -293,21 +292,6 @@ class BasisBand:
         if info != 0:
             raise ValueError(f"?tbtrs rejected argument {-info}")
         return x
-
-    def dense(self, shift: int = 0, dtype=None) -> np.ndarray:
-        """The band as a Fortran-ordered N x N matrix moved ``shift`` rows
-        down (shift 1 gives S L); refused beyond N = DENSE_CAP."""
-        N = self.N
-        if N > DENSE_CAP:
-            raise ValueError(f"dense sections are capped at N = {DENSE_CAP}; "
-                             "use the column routines for individual columns")
-        out = np.zeros((N, N), dtype=dtype or self.ab.dtype, order="F")
-        flat = out.reshape(-1, order="F")  # a view: entry (i, m) sits at i + m*N
-        for k in range(self.J + 1):
-            r = k + shift
-            if r < N:
-                flat[r:: N + 1][: N - r] = self.ab[k, : N - r]
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis_kernel import eval_f_prefix
 from .core import BasisBand, BoundaryConfig, Poly, WeightSequence
 from .recursion import growth_verdict, section_norm
 
@@ -44,12 +43,6 @@ def mz_column(n: int, K_max: int, cfg: BoundaryConfig,
     rhs = np.zeros(K_max + 1, dtype=complex)
     rhs[1: cfg.J + 2] = L.ab[:, 0]
     return MultiplierColumn(n, L.solve(rhs, overwrite_b=True)[1:])
-
-
-def mz_section(N: int, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Dense N x N leading section of L^-1 S L (real when the band is)."""
-    L = BasisBand(cfg, weights, N)
-    return L.solve(L.dense(shift=1), overwrite_b=True)
 
 
 def _shift(x: np.ndarray, k: int = 1) -> np.ndarray:
@@ -157,11 +150,16 @@ def mz_norm_report(cfg: BoundaryConfig, weights: WeightSequence,
 def constant_sup_error(coeffs: np.ndarray, cfg: BoundaryConfig,
                        weights: WeightSequence, radius: float = 0.9,
                        n_grid: int = 64) -> float:
-    """sup over a circle |z| = radius of |sum_n c_n f_n(z) - 1|."""
-    worst = 0.0
-    N = len(coeffs)
-    for t in np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False):
-        z = radius * np.exp(1j * t)
-        val = np.sum(coeffs * eval_f_prefix(N, z, cfg, weights))
-        worst = max(worst, abs(val - 1.0))
-    return worst
+    """max over the n_grid points z = radius e^{2 pi i j / n_grid} of
+    |sum_n c_n f_n(z) - 1|.
+
+    The Taylor coefficients of sum_n c_n f_n - 1 are the band residual
+    r = L [c, 0] - e_0 of length N + J; folding r_k radius^k modulo n_grid
+    leaves one FFT over the grid.
+    """
+    N = len(coeffs) + cfg.J
+    r = BasisBand(cfg, weights, N).matvec(np.pad(coeffs, (0, cfg.J)))
+    r[0] -= 1.0
+    r *= radius ** np.arange(N)
+    folded = np.pad(r, (0, -N % n_grid)).reshape(-1, n_grid).sum(axis=0)
+    return float(np.max(np.abs(np.fft.fft(folded))))

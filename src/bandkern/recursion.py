@@ -54,14 +54,6 @@ def c_column(n: int, K_max: int, cfg: BoundaryConfig,
     return L.solve(rhs, overwrite_b=True)
 
 
-def c_section(N: int, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Dense N x N leading section of C = L^-1 Lhat (real when the band is)."""
-    L = BasisBand(cfg, weights, N)
-    Lhat = BasisBand(cfg, None, N)
-    rhs = Lhat.dense(dtype=np.result_type(L.ab, Lhat.ab))
-    return L.solve(rhs, overwrite_b=True)
-
-
 def triangular_solve_oracle(N: int, cfg: BoundaryConfig,
                             weights: WeightSequence) -> np.ndarray:
     """Solve Lhat = L C directly by dense forward substitution.
@@ -327,6 +319,7 @@ class ContainmentReport:
     truncations: tuple
     norm_estimates: tuple
     column_norms: np.ndarray
+    column_norm_cancellation: float   # rounding amplification of column_norms**2
     plateau_rel: float
     rate_measured: Optional[float]
     rate_margin: float
@@ -355,11 +348,55 @@ def decay_rate_samples(cfg: BoundaryConfig, weights: WeightSequence,
     return np.asarray(vals)
 
 
+def _column_norms(L: BasisBand, Lhat: BasisBand) -> tuple:
+    """Norms ||C_N e_a|| of every column a < N of C = L^-1 Lhat without
+    forming C, and the cancellation factor
+    max_a sum_{m,m'} |beta_m beta_m' G[m][m']| / ||C_N e_a||^2.
+
+    v_b = L^-1 e_b obeys v_b = e_b - sum_{m=1..J} L[b+m, b] v_{b+m} with e_b
+    orthogonal to every v_{b+m}, so the Gram window G[i][j] =
+    <v_{b+i}, v_{b+j}> advances backward from b = N-1 in O(J^2) work
+    (selected inversion of (L L^H)^-1; Takahashi, Fagan & Chen 1973), and
+    column a of C is sum_m beta_m v_{a+m}.  The window is kept exactly
+    Hermitian, with a real diagonal and the lower triangle conjugate to the
+    new row: on non-Hermitian windows the map has a growing mode, which the
+    rounding in the imaginary part of the diagonal would excite.  The
+    cancellation factor grows about like N, as ||v_b||^2 does.
+    """
+    J, inner = L.J, range(1, L.J + 1)
+    band = L.ab.T.tolist()             # band[b] = [1, L[b+1, b], ..., L[b+J, b]]
+    beta = Lhat.ab[:, 0].tolist()
+    # the form over the upper triangle of the Hermitian window, off-diagonal
+    # terms counted twice
+    upper = [(i, j, (1 if i == j else 2) * beta[i].conjugate() * beta[j])
+             for i in range(J + 1) for j in range(i, J + 1)]
+    G = [[0.0] * (J + 1) for _ in range(J + 1)]   # v_b = 0 for b >= N
+    sq, cancellation = [0.0] * L.N, 0.0
+    for b in range(L.N - 1, -1, -1):
+        lb = band[b]
+        row = [0.0] * (J + 1)
+        for k in inner:
+            s = 0.0
+            for m in inner:
+                s -= lb[m].conjugate() * G[m - 1][k - 1]
+            row[k] = s
+        d = 1.0
+        for m in inner:
+            d -= lb[m] * row[m]
+        row[0] = d.real
+        G = [row] + [[row[i].conjugate()] + G[i - 1][:J] for i in inner]
+        terms = [w * G[i][j] for i, j, w in upper]
+        sq[b] = sum(terms).real
+        cancellation = max(cancellation, sum(map(abs, terms)) / sq[b])
+    return np.sqrt(sq), cancellation
+
+
 def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
                        N_list: Sequence[int], plateau_tol: float = 1e-3,
                        rate_margin: float = 0.05) -> ContainmentReport:
-    """Norm growth of truncations of C plus a boundedness verdict.  The norms
-    are taken matrix-free on the bands; only the column norms read a dense C.
+    """Norm growth of truncations of C plus a boundedness verdict.  The
+    section norms and the column norms of the largest section are taken on
+    the bands, in O(N J) memory.
 
     The verdict first applies the plateau rule (last-doubling relative
     increase below plateau_tol).  When truncated norms are still visibly
@@ -371,7 +408,6 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
     N_list = sorted(int(N) for N in N_list)
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("truncations must be strictly increasing")
-    C = c_section(N_list[-1], cfg, weights)    # for the column norms only
     estimates = []
     for N in N_list:
         L, Lhat = BasisBand(cfg, weights, N), BasisBand(cfg, None, N)
@@ -379,9 +415,7 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
             N, lambda x: L.solve(Lhat.matvec(x)),
             lambda y: Lhat.matvec(L.solve(y, trans="C"), trans="C"),
             np.result_type(L.ab, Lhat.ab)))
-    # column norms over real/imaginary views: no N x N temporary
-    parts = (C.real, C.imag) if np.iscomplexobj(C) else (C,)
-    col_norms = np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
+    col_norms, cancellation = _column_norms(L, Lhat)     # at N_list[-1]
     values = [e.value for e in estimates]
     plateau_rel = (values[-1] - values[-2]) / values[-1] if len(values) > 1 else np.inf
 
@@ -401,8 +435,8 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
             verdict = INCONCLUSIVE
             rate = float(np.median(samples))
     return ContainmentReport(
-        tuple(N_list), tuple(estimates), col_norms, float(plateau_rel),
-        rate, rate_margin, verdict, reason,
+        tuple(N_list), tuple(estimates), col_norms, cancellation,
+        float(plateau_rel), rate, rate_margin, verdict, reason,
     )
 
 

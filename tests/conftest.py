@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bandkern import BoundaryConfig, WeightSequence
+from bandkern import BoundaryConfig, WeightSequence, beta_coefficients
 
 
 @pytest.fixture
@@ -45,6 +45,19 @@ def random_rational_config(rng, J_max=6, den=24):
         qs = [Fraction(int(n), den) for n in nums]
         if len(set(qs)) == J:
             return BoundaryConfig.from_angles(qs)
+
+
+def dense_basis_matrix(N, cfg, weights=None):
+    """L[n+k, n] = beta_k a_n^k written entry by entry, without BasisBand;
+    weights None gives Lhat (every a_n = 1)."""
+    beta = beta_coefficients(cfg)
+    a = (np.ones(N) if weights is None
+         else np.asarray(weights.prefix(N), dtype=complex))
+    L = np.zeros((N, N), dtype=complex)
+    for n in range(N):
+        for k in range(min(cfg.J, N - 1 - n) + 1):
+            L[n + k, n] = beta[k] * a[n] ** k
+    return L
 
 
 def h_bruteforce(k, points):

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from bandkern import (
+    BasisBand,
     BoundaryConfig,
     WeightSequence,
     beta_coefficients,
     c_column,
-    c_section,
     companion_limit,
     constant_expansion,
     containment_report,
@@ -34,7 +34,7 @@ from bandkern import (
 )
 from bandkern.multiplier import constant_sup_error
 
-from conftest import random_rational_config
+from conftest import dense_basis_matrix, random_rational_config
 
 
 def report(num, text, ok):
@@ -59,8 +59,8 @@ def test_criterion_01_oracle_equivalence():
         else:
             weights = WeightSequence.power_law(float(rng.uniform(0.6, 2.5)))
         N = 256
-        gap = np.max(np.abs(c_section(N, cfg, weights)
-                            - triangular_solve_oracle(N, cfg, weights)))
+        C = BasisBand(cfg, weights, N).solve(dense_basis_matrix(N, cfg))
+        gap = np.max(np.abs(C - triangular_solve_oracle(N, cfg, weights)))
         worst = max(worst, float(gap))
     elapsed = time.time() - t0
     report(1, f"recursion matches dense solve on 25 random 256x256 sections "

@@ -259,17 +259,23 @@ def test_single_truncation_summary_is_strict_json(tmp_path):
     assert summary["measurements"]["plateau_rel"] is None
 
 
-def test_oversized_containment_section_is_config_error(tmp_path):
-    # containment still takes its column norms from the dense section of C
+def test_containment_run_beyond_dense_cap(tmp_path):
+    # column norms come from the band, so containment runs at any N
     cfgp = write_config(
         tmp_path, "big.json",
         weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
         experiment="containment",
-        truncations=[16384],
+        truncations=[8192, 16384],
     )
     prefix = str(tmp_path / "big_out")
-    assert run(cfgp, out=prefix) == 2
-    assert "capped" in read_summary(prefix)["error"]["message"]
+    assert run(cfgp, out=prefix) == 0
+    rows = [line.split(",") for line in
+            open(prefix + ".series.csv").read().splitlines()[1:]]
+    cols = [int(r[1]) for r in rows if r[2] == "column_l2"]
+    assert cols == list(range(16384))
+    summary = read_summary(prefix)
+    assert summary["verdicts"]["containment"] == "likely-bounded"
+    assert 1.0 <= summary["measurements"]["column_norm_cancellation"] <= 100 * 16384
 
 
 def test_multiplier_run_beyond_dense_cap(tmp_path):

@@ -10,7 +10,7 @@ from bandkern import (
     beta_coefficients,
     boundary_coeffs,
     bp_apply,
-    c_section,
+    c_column,
     chat_apply,
     chat_column_norms,
     decompose,
@@ -222,8 +222,8 @@ def test_chat_recovers_shifted_phi():
     cfg = BoundaryConfig.from_angles(["0", "1/2"])
     weights = WeightSequence.harmonic(4.0, 5.0)
     N, m = 1024, 3
-    C = c_section(N, cfg, weights)
-    alpha = C[:, m]
+    alpha = np.zeros(N, dtype=complex)
+    alpha[m:] = c_column(m, N - 1 - m, cfg, weights)    # column m of C_N
     perm = PermissibleSequence(alpha, True, permissible(alpha, cfg, weights).residuals)
     g = chat_apply(perm, cfg, weights)
     e_m = np.zeros(N)

@@ -9,34 +9,20 @@ from bandkern import (
     Poly,
     WeightSequence,
     advance_window,
-    beta_coefficients,
-    c_section,
     constant_expansion,
     eval_f_prefix,
     h2_coeffs,
     mz_apply,
     mz_column,
     mz_norm_report,
-    mz_section,
     phi_from_roots,
     polynomial_membership,
 )
 from bandkern.multiplier import constant_sup_error
 
-from conftest import random_rational_config
+from conftest import dense_basis_matrix, random_rational_config
 
 ORACLE_RTOL = 1e-12
-
-
-def dense_basis_matrix(N, cfg, weights):
-    """L[n+k, n] = beta_k a_n^k written entry by entry, without BasisBand."""
-    beta = beta_coefficients(cfg)
-    a = np.asarray(weights.prefix(N), dtype=complex)
-    L = np.zeros((N, N), dtype=complex)
-    for n in range(N):
-        for k in range(min(cfg.J, N - 1 - n) + 1):
-            L[n + k, n] = beta[k] * a[n] ** k
-    return L
 
 
 def random_weights(rng):
@@ -74,13 +60,12 @@ def test_mz_series_multiplication_oracle():
         cfg = random_rational_config(rng, J_max=3)
         weights = WeightSequence.harmonic(float(rng.uniform(0.5, 2)), 2.0)
         N = 48
-        Z = mz_section(N, cfg, weights)
         for n in (0, 3, 10):
             e_n = np.zeros(N)
             e_n[n] = 1.0
             lhs = np.roll(h2_coeffs(e_n, cfg, weights), 1)  # z * f_n
             lhs[0] = 0.0
-            rhs = h2_coeffs(Z @ e_n, cfg, weights)
+            rhs = h2_coeffs(mz_apply(e_n, cfg, weights), cfg, weights)
             keep = N - cfg.J - 1
             assert np.max(np.abs(lhs[:keep] - rhs[:keep])) <= 1e-10
 
@@ -95,7 +80,6 @@ def test_mz_routes_match_dense_oracle():
         L = dense_basis_matrix(N, cfg, weights)
         ref = solve_triangular(L, np.eye(N, k=-1) @ L, lower=True,
                                unit_diagonal=True)
-        assert rel_err(mz_section(N, cfg, weights), ref) <= ORACLE_RTOL
         alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         assert rel_err(mz_apply(alpha, cfg, weights), ref @ alpha) <= ORACLE_RTOL
         n = int(rng.integers(0, 40))
@@ -120,14 +104,12 @@ def test_basis_band_products_and_adjoints_match_dense_oracle():
 
 
 def test_sections_real_exactly_when_band_is(cfg_pm1, cfg_cube, harm1):
-    for section in (c_section, mz_section):
-        assert section(64, cfg_pm1, harm1).dtype == np.float64
-        assert section(64, cfg_cube, harm1).dtype == np.complex128
-
-
-def test_mz_section_cap(cfg_one, harm1):
-    with pytest.raises(ValueError):
-        mz_section(8193, cfg_one, harm1)
+    # the band, and the section L^-1 solved on it from the identity, are
+    # real exactly when every band entry is
+    for cfg, dtype in ((cfg_pm1, np.float64), (cfg_cube, np.complex128)):
+        L = BasisBand(cfg, harm1, 64)
+        assert L.ab.dtype == dtype
+        assert L.solve(np.eye(64)).dtype == dtype
 
 
 def test_mz_tail_matches_window_recursion(cfg_cube, harm1):
@@ -169,6 +151,30 @@ def test_constant_expansion_approximates_one(cfg_pm1, harm1):
     err = constant_sup_error(rep.coeffs, cfg_pm1, harm1, radius=0.9)
     assert err <= 1e-6
     assert rep.verdict == "likely-bounded"
+
+
+def sup_error_by_evaluation(coeffs, cfg, weights, radius=0.9, n_grid=64):
+    """max |sum_n c_n f_n(z) - 1| over the grid, every f_n evaluated."""
+    worst = 0.0
+    for t in np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False):
+        z = radius * np.exp(1j * t)
+        val = np.sum(coeffs * eval_f_prefix(len(coeffs), z, cfg, weights))
+        worst = max(worst, abs(val - 1.0))
+    return worst
+
+
+def test_constant_sup_error_matches_pointwise_evaluation(cfg_pm1, cfg_cube):
+    # perturbed coefficients keep the residual far above the rounding level
+    rng = np.random.default_rng(26)
+    for cfg in (cfg_pm1, cfg_cube, BoundaryConfig.from_angles(["1/5", "2/5"])):
+        for weights in (WeightSequence.harmonic(1.0, 2.0),
+                        WeightSequence.power_law(1.5)):
+            for N in (64, 1024, 4096):
+                noise = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+                coeffs = (constant_expansion(N, cfg, weights).coeffs
+                          + 1e-6 * noise / np.arange(1, N + 2))
+                assert constant_sup_error(coeffs, cfg, weights) == pytest.approx(
+                    sup_error_by_evaluation(coeffs, cfg, weights), rel=1e-10)
 
 
 def test_constant_expansion_matches_dense_oracle():

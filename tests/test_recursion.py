@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from bandkern import (
     BasisBand,
@@ -13,7 +14,6 @@ from bandkern import (
     advance_window,
     beta_coefficients,
     c_column,
-    c_section,
     companion_limit,
     companion_matrix,
     containment_report,
@@ -22,7 +22,6 @@ from bandkern import (
     linearization_parts,
     mu_search,
     mz_norm_report,
-    mz_section,
     nu0_expansion,
     product_norm,
     starting_vector,
@@ -34,7 +33,7 @@ from bandkern.recursion import (
     starting_alpha_limit,
 )
 
-from conftest import random_rational_config
+from conftest import dense_basis_matrix, random_rational_config
 
 
 # --- column recursion -------------------------------------------------------
@@ -67,7 +66,7 @@ def test_c_column_divergence_example(cfg_pm1, pow2):
 
 def test_c_section_matches_columns(cfg_cube, harm1):
     N = 40
-    C = c_section(N, cfg_cube, harm1)
+    C = triangular_solve_oracle(N, cfg_cube, harm1)
     for n in (0, 7, 23):
         assert_allclose(C[n:, n], c_column(n, N - 1 - n, cfg_cube, harm1),
                         atol=1e-13)
@@ -93,18 +92,12 @@ def test_basis_band_converges_to_target_band(cfg_pm1, harm1):
 
 
 def test_basis_band_dense_and_start_offset(cfg_cube, harm1):
-    # the band of columns 5.. is the trailing block of the full band
-    full = BasisBand(cfg_cube, harm1, 12).dense()
-    assert_allclose(BasisBand(cfg_cube, harm1, 7, start=5).dense(), full[5:, 5:])
-    shifted = BasisBand(cfg_cube, harm1, 12).dense(shift=1)
-    assert_allclose(shifted[1:, :-1], full[:-1, :-1])
-    assert np.all(shifted[0] == 0) and np.all(shifted[:, -1] == 0)
-
-
-def test_c_section_cap():
-    with pytest.raises(ValueError):
-        c_section(8193, BoundaryConfig.from_angles(["0"]),
-                  WeightSequence.harmonic(1.0, 2.0))
+    # the band of columns 5.. is the trailing block of the entrywise L
+    full = dense_basis_matrix(12, cfg_cube, harm1)
+    band = BasisBand(cfg_cube, harm1, 7, start=5).ab
+    for k in range(cfg_cube.J + 1):
+        assert_allclose(band[k, : 7 - k], np.diagonal(full[5:, 5:], -k),
+                        rtol=1e-15)
 
 
 def test_recursion_matches_triangular_oracle():
@@ -117,9 +110,8 @@ def test_recursion_matches_triangular_oracle():
         else:
             weights = WeightSequence.power_law(float(rng.uniform(0.6, 2.5)))
         N = 96
-        assert np.max(np.abs(
-            c_section(N, cfg, weights) - triangular_solve_oracle(N, cfg, weights)
-        )) <= 1e-10
+        C = BasisBand(cfg, weights, N).solve(dense_basis_matrix(N, cfg))
+        assert np.max(np.abs(C - triangular_solve_oracle(N, cfg, weights))) <= 1e-10
 
 
 # --- companion matrices ------------------------------------------------------
@@ -284,7 +276,10 @@ def test_section_norms_match_dense_svd(cfg_pm1, cfg_cube, harm1):
     for cfg in (cfg_pm1, cfg_cube):
         rep = containment_report(cfg, harm1, N_list)
         mz = mz_norm_report(cfg, harm1, N_list)
-        C, Z = c_section(600, cfg, harm1), mz_section(600, cfg, harm1)
+        L = dense_basis_matrix(600, cfg, harm1)
+        C = triangular_solve_oracle(600, cfg, harm1)
+        Z = solve_triangular(L, np.eye(600, k=-1) @ L, lower=True,
+                             unit_diagonal=True)
         for k, N in enumerate(N_list):
             for est, section in (
                     (rep.norm_estimates[k], C[:N, :N]),
@@ -294,6 +289,24 @@ def test_section_norms_match_dense_svd(cfg_pm1, cfg_cube, harm1):
                 assert est.value == pytest.approx(np.linalg.norm(section, 2),
                                                   rel=1e-12)
                 assert est.residual <= 1e-10 * est.value
+
+
+@pytest.mark.parametrize("angles", [["1/5", "2/5"], ["0", "1/3", "2/3"],
+                                    ["0", "1/12", "5/12", "2/3"], ["0", "1/2"]])
+def test_column_norms_match_dense_oracle(angles):
+    # Gram-window column norms against the columns of a dense solve.  Roots
+    # 1/5, 2/5 give a complex band on which the window map has a growing
+    # non-Hermitian mode: a window whose diagonal is not kept real fails here.
+    cfg = BoundaryConfig.from_angles(angles)
+    for weights in (WeightSequence.harmonic(0.25, 2.0),
+                    WeightSequence.harmonic(1.0, 2.0),
+                    WeightSequence.power_law(1.5)):
+        C = triangular_solve_oracle(2048, cfg, weights)
+        for N in sorted({1, 2, 3, cfg.J + 1, 300, 2048}):
+            rep = containment_report(cfg, weights, [N])
+            ref = np.linalg.norm(C[:N, :N], axis=0)
+            assert_allclose(rep.column_norms, ref, rtol=1e-10, atol=0)
+            assert 1.0 <= rep.column_norm_cancellation <= 100.0 * N
 
 
 def test_norm_estimates_monotone(cfg_pm1, harm1):
