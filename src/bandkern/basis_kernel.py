@@ -40,18 +40,6 @@ _U = 2.0 ** -53           # unit roundoff of float64
 
 
 @dataclass(frozen=True)
-class BasisElement:
-    """Taylor data of f_n: J+1 coefficients sitting at degrees n..n+J."""
-
-    n: int
-    taylor: np.ndarray
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.arange(self.n, self.n + len(self.taylor))
-
-
-@dataclass(frozen=True)
 class KernelValue:
     """A kernel value and how its error budget was spent.
 
@@ -74,22 +62,6 @@ class KernelValue:
     @property
     def tail_bound(self) -> float:
         return self.tail_truncation + self.tail_abel + self.tail_rounding
-
-
-def basis_coeffs(n: int, cfg: BoundaryConfig, weights: WeightSequence) -> BasisElement:
-    """Coefficients beta_k * a_n^k of f_n, k = 0..J."""
-    if n < 0:
-        raise ValueError("basis index must be nonnegative")
-    beta = beta_coefficients(cfg)
-    an = weights.a(n)
-    return BasisElement(n, beta * np.asarray(an, dtype=complex) ** np.arange(len(beta)))
-
-
-def eval_f(n: int, z, cfg: BoundaryConfig, weights: WeightSequence) -> complex:
-    """f_n(z) = z^n * phi(a_n * z)."""
-    phi = phi_from_roots(cfg)
-    z = complex(z)
-    return z ** n * complex(phi(weights.a(n) * z))
 
 
 def _special_index(z: complex, cfg: BoundaryConfig) -> Optional[int]:

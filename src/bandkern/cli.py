@@ -5,8 +5,8 @@ Usage:
     bandkern plot <series.csv>
 
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure
-(unreachable truncation or ill-conditioned solve), 4 a verdict assertion was
-requested in the config and the computed verdict did not affirm it.
+(e.g. an unreachable truncation), 4 a verdict assertion was requested in the
+config and the computed verdict did not affirm it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     BoundaryConfig,
     ConfigurationError,
     DomainError,
-    IllConditionedError,
     SearchFailureError,
     TruncationError,
     WeightSequence,
@@ -216,7 +215,7 @@ def _run_divergence(ec: ExperimentConfig):
     csum = np.sqrt(np.cumsum(np.abs(col) ** 2))
     norms = [float(csum[N - 1]) for N in ec.truncations]
     rows += [(N, "column0_l2", v) for N, v in zip(ec.truncations, norms)]
-    verdict = recursion.growth_verdict(norms, plateau_tol=1e-3, growth_tol=0.05)
+    verdict = recursion.growth_verdict(norms)
     meas = {"c_2_0": float(np.real(col[2])) if abs(col[2].imag) < 1e-12
             else [col[2].real, col[2].imag],
             "column0_l2_final": norms[-1]}
@@ -414,8 +413,7 @@ def run(config_path: str, out: Optional[str] = None) -> int:
     prefix = out or ec.output or os.path.splitext(config_path)[0]
     try:
         verdicts, measurements, rows = _RUNNERS[ec.experiment](ec)
-    except (TruncationError, IllConditionedError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (TruncationError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _diagnostic(prefix, EXIT_NUMERICAL, type(exc).__name__, str(exc))
         return EXIT_NUMERICAL
     except (ConfigurationError, DomainError, SearchFailureError, ValueError) as exc:

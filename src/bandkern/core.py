@@ -39,10 +39,6 @@ class TruncationError(RuntimeError):
     """A certified truncation error could not be brought below tolerance."""
 
 
-class IllConditionedError(RuntimeError):
-    """A linear solve exceeded the configured condition-number cap."""
-
-
 class SearchFailureError(RuntimeError):
     """Exhaustive search hit its cap; carries the best candidate found."""
 
@@ -436,9 +432,6 @@ class WeightSequence:
     def prefix(self, N: int) -> np.ndarray:
         """Array a_0..a_{N-1}."""
         return self.a(np.arange(N))
-
-    def one_minus_prefix(self, N: int) -> np.ndarray:
-        return self.one_minus_a(np.arange(N))
 
     def a_sup(self) -> float:
         """max(1, sup_n |a_n|) over the whole sequence, table included.

@@ -18,31 +18,8 @@ import numpy as np
 from .core import BasisBand, BoundaryConfig, Poly, WeightSequence
 from .recursion import growth_verdict, section_norm
 
-
-@dataclass(frozen=True)
-class MultiplierColumn:
-    """Column n of the z-multiplication matrix: entries c_{k,n} for
-    k = n+1 .. n+K_max (everything at or above the diagonal vanishes)."""
-
-    n: int
-    entries: np.ndarray
-
-    @property
-    def rows(self) -> np.ndarray:
-        return np.arange(self.n + 1, self.n + 1 + len(self.entries))
-
-
-def mz_column(n: int, K_max: int, cfg: BoundaryConfig,
-              weights: WeightSequence) -> MultiplierColumn:
-    """Coefficients of z * f_n in the basis, rows n+1 .. n+K_max: the
-    column of L^-1 S L, whose right-hand side S L e_n is the Taylor data of
-    f_n moved one row down.  c_{n+1,n} = 1."""
-    if K_max < cfg.J + 1:
-        raise ValueError("K_max must be at least J + 1")
-    L = BasisBand(cfg, weights, K_max + 1, start=n)
-    rhs = np.zeros(K_max + 1, dtype=complex)
-    rhs[1: cfg.J + 2] = L.ab[:, 0]
-    return MultiplierColumn(n, L.solve(rhs, overwrite_b=True)[1:])
+_SUP_RADIUS = 0.9     # constant_sup_error checks the circle |z| = _SUP_RADIUS
+_SUP_GRID = 64        # at this many equally spaced points
 
 
 def _shift(x: np.ndarray, k: int = 1) -> np.ndarray:
@@ -52,12 +29,10 @@ def _shift(x: np.ndarray, k: int = 1) -> np.ndarray:
     return y
 
 
-def mz_apply(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Basis coefficients of z * f for f = sum alpha_n f_n (same prefix
-    length): L^-1 S L alpha in O(N J)."""
-    alpha = np.asarray(alpha, dtype=complex)
-    L = BasisBand(cfg, weights, len(alpha))
-    return L.solve(_shift(L.matvec(alpha)), overwrite_b=True)
+def _mz_apply(L: BasisBand, x: np.ndarray) -> np.ndarray:
+    """Basis coefficients of z * f for f = sum x_n f_n (same prefix length
+    N as the band L): M_z x = L^-1 S L x in O(N J)."""
+    return L.solve(_shift(L.matvec(x)), overwrite_b=True)
 
 
 @dataclass(frozen=True)
@@ -92,12 +67,7 @@ def constant_expansion(N: int, cfg: BoundaryConfig,
     e0[0] = 1.0
     c = BasisBand(cfg, weights, N + 1).solve(e0, overwrite_b=True)
     checks, norms = _l2_checkpoints(c)
-    return ExpansionReport(c, checks, norms, _plateau_verdict(norms))
-
-
-def _plateau_verdict(norms: np.ndarray, plateau_tol: float = 1e-3,
-                     growth_tol: float = 0.05) -> str:
-    return growth_verdict(list(norms), plateau_tol, growth_tol)
+    return ExpansionReport(c, checks, norms, growth_verdict(list(norms)))
 
 
 def polynomial_membership(poly: Poly, N: int, cfg: BoundaryConfig,
@@ -116,7 +86,7 @@ def polynomial_membership(poly: Poly, N: int, cfg: BoundaryConfig,
     taylor[: len(poly.coeffs)] = poly.coeffs
     alpha = taylor_to_basis(taylor, cfg, weights)
     checks, norms = _l2_checkpoints(alpha)
-    return ExpansionReport(alpha, checks, norms, _plateau_verdict(norms))
+    return ExpansionReport(alpha, checks, norms, growth_verdict(list(norms)))
 
 
 @dataclass(frozen=True)
@@ -128,8 +98,7 @@ class MultiplierNormReport:
 
 
 def mz_norm_report(cfg: BoundaryConfig, weights: WeightSequence,
-                   N_list: Sequence[int], plateau_tol: float = 1e-3,
-                   growth_tol: float = 0.05) -> MultiplierNormReport:
+                   N_list: Sequence[int]) -> MultiplierNormReport:
     """Truncated multiplication-matrix norms at dyadic sizes, both as-is and
     with the leading subdiagonal of ones removed (the shift part is an
     isometry and can mask growth of the remainder).  Both operators,
@@ -138,28 +107,27 @@ def mz_norm_report(cfg: BoundaryConfig, weights: WeightSequence,
     full, shifted = [], []
     for N in N_list:
         L = BasisBand(cfg, weights, N)
-        mz = (lambda x: L.solve(_shift(L.matvec(x))),           # M_z x and M_z^H y
+        mz = (lambda x: _mz_apply(L, x),                        # M_z x and M_z^H y
               lambda y: L.matvec(_shift(L.solve(y, trans="C"), -1), trans="C"))
         full.append(section_norm(N, *mz, L.ab.dtype))
         shifted.append(section_norm(N, lambda x: mz[0](x) - _shift(x),
                                     lambda y: mz[1](y) - _shift(y, -1), L.ab.dtype))
-    verdict = growth_verdict([e.value for e in full], plateau_tol, growth_tol)
+    verdict = growth_verdict([e.value for e in full])
     return MultiplierNormReport(tuple(N_list), tuple(full), tuple(shifted), verdict)
 
 
 def constant_sup_error(coeffs: np.ndarray, cfg: BoundaryConfig,
-                       weights: WeightSequence, radius: float = 0.9,
-                       n_grid: int = 64) -> float:
-    """max over the n_grid points z = radius e^{2 pi i j / n_grid} of
-    |sum_n c_n f_n(z) - 1|.
+                       weights: WeightSequence) -> float:
+    """max over the _SUP_GRID points z = _SUP_RADIUS e^{2 pi i j / _SUP_GRID}
+    of |sum_n c_n f_n(z) - 1|.
 
     The Taylor coefficients of sum_n c_n f_n - 1 are the band residual
-    r = L [c, 0] - e_0 of length N + J; folding r_k radius^k modulo n_grid
-    leaves one FFT over the grid.
+    r = L [c, 0] - e_0 of length N + J; folding r_k _SUP_RADIUS^k modulo
+    _SUP_GRID leaves one FFT over the grid.
     """
     N = len(coeffs) + cfg.J
     r = BasisBand(cfg, weights, N).matvec(np.pad(coeffs, (0, cfg.J)))
     r[0] -= 1.0
-    r *= radius ** np.arange(N)
-    folded = np.pad(r, (0, -N % n_grid)).reshape(-1, n_grid).sum(axis=0)
+    r *= _SUP_RADIUS ** np.arange(N)
+    folded = np.pad(r, (0, -N % _SUP_GRID)).reshape(-1, _SUP_GRID).sum(axis=0)
     return float(np.max(np.abs(np.fft.fft(folded))))

@@ -37,6 +37,13 @@ LIKELY_BOUNDED = "likely-bounded"
 LIKELY_UNBOUNDED = "likely-unbounded"
 INCONCLUSIVE = "inconclusive"
 
+_PLATEAU_TOL = 1e-3    # last-doubling relative increase that counts as a plateau
+_GROWTH_TOL = 0.05     # last-doubling relative increase that counts as growth
+_RATE_MARGIN = 0.05    # decay-rate samples must clear 1/2 by this much
+_DECAY_SAMPLES = (2000, 8000, 32000, 128000)   # n of the decay-rate samples
+_MU_EPSILON = 1e-2    # max_j |z_j^mu - 1| of the limit-point exponent mu
+_N_FIT = 64           # starting-vector decay is measured over n <= _N_FIT
+
 
 # ---------------------------------------------------------------------------
 # columns of C
@@ -44,14 +51,22 @@ INCONCLUSIVE = "inconclusive"
 
 def c_column(n: int, K_max: int, cfg: BoundaryConfig,
              weights: WeightSequence) -> np.ndarray:
-    """Column prefix c_{n+k,n} for k = 0..K_max."""
+    """Column prefix c_{n+k,n} for k = 0..K_max.
+
+    C e_n = e_n + L^-1 (Lhat - L) e_n, and column n of Lhat - L holds
+    beta_k (1 - a_n^k) = beta_k (1 - a_n) sum_{i<k} a_n^i, formed from
+    1 - a_n so that the difference beta_k - beta_k a_n^k never cancels.
+    """
     beta = beta_coefficients(cfg)
-    if K_max < len(beta) - 1:
+    J = len(beta) - 1
+    if K_max < J:
         raise ValueError("K_max must be at least the bandwidth J")
+    u = weights.one_minus_a(n)
     rhs = np.zeros(K_max + 1, dtype=complex)
-    rhs[: len(beta)] = beta               # column n of Lhat, from row n down
-    L = BasisBand(cfg, weights, K_max + 1, start=n)
-    return L.solve(rhs, overwrite_b=True)
+    rhs[1: J + 1] = beta[1:] * u * np.cumsum((1.0 - u) ** np.arange(J))
+    col = BasisBand(cfg, weights, K_max + 1, start=n).solve(rhs, overwrite_b=True)
+    col[0] = 1.0
+    return col
 
 
 def triangular_solve_oracle(N: int, cfg: BoundaryConfig,
@@ -81,27 +96,15 @@ def triangular_solve_oracle(N: int, cfg: BoundaryConfig,
 # ---------------------------------------------------------------------------
 
 def _companion(ab: np.ndarray) -> np.ndarray:
-    """Companion matrix of a J-column band window: shift rows above the
-    bottom row -(ab[J, 0], ..., ab[1, J-1]), the band entries that meet on
-    the row just below the window."""
+    """Companion matrix M_n of the J band columns n-J+1..n: shift rows above
+    the bottom row -(ab[J, 0], ..., ab[1, J-1]), the band entries that meet
+    on row n+1.  M_j advances the window v_{j,n} = (c_{j-J+1,n}, ...,
+    c_{j,n}) of column n of C: v_{j+1,n} = M_j v_{j,n} for j >= n + J."""
     J = ab.shape[1]
     M = np.eye(J, k=1, dtype=complex)
     idx = np.arange(J)
     M[J - 1, :] = -ab[J - idx, idx]
     return M
-
-
-def companion_matrix(n: int, cfg: BoundaryConfig,
-                     weights: WeightSequence) -> np.ndarray:
-    """J x J companion matrix M_n: shift rows above the weighted bottom row
-    (-beta_J a_{n-J+1}^J, ..., -beta_2 a_{n-1}^2, -beta_1 a_n).
-
-    The column window v_{j,n} = (c_{j-J+1,n}, ..., c_{j,n}) advances by
-    v_{j,n} = M_{j-1} v_{j-1,n} for j > n + J.
-    """
-    if n - cfg.J + 1 < 0:
-        raise ValueError("companion matrix needs n >= J - 1")
-    return _companion(BasisBand(cfg, weights, cfg.J, start=n - cfg.J + 1).ab)
 
 
 def companion_limit(cfg: BoundaryConfig) -> np.ndarray:
@@ -125,12 +128,6 @@ def eigen_basis(cfg: BoundaryConfig) -> EigenBasis:
     X = np.column_stack([z_j ** np.arange(J - 1, -1, -1) for z_j in z])
     Xinv = np.linalg.inv(X)
     return EigenBasis(X, Xinv, np.asarray(cfg.conjugates))
-
-
-def advance_window(v: np.ndarray, j: int, cfg: BoundaryConfig,
-                   weights: WeightSequence) -> np.ndarray:
-    """v_{j,n} from v_{j-1,n}: multiply by the companion matrix at index j-1."""
-    return companion_matrix(j - 1, cfg, weights) @ np.asarray(v, dtype=complex)
 
 
 def starting_vector(n: int, cfg: BoundaryConfig,
@@ -216,36 +213,6 @@ def product_norm(n: int, mu: int, cfg: BoundaryConfig, weights: WeightSequence,
     return float(np.linalg.norm(P, 2))
 
 
-@dataclass(frozen=True)
-class LinearizationParts:
-    """M_{n+k} = M_inf + (p/n) B + R with the residual scale E = n * max|R|."""
-
-    B: np.ndarray
-    R: np.ndarray
-    E: float
-
-
-def linearization_parts(n: int, k: int, cfg: BoundaryConfig,
-                        weights: WeightSequence) -> LinearizationParts:
-    """Split M_{n+k} into limit + first-order + residual parts.
-
-    B's bottom row is (J beta_J, ..., 2 beta_2, beta_1); the residual bottom
-    row carries (1 - a_{n+k-i+1}^i - i p / n) beta_i at the slot of beta_i.
-    """
-    if n <= cfg.J:
-        raise ValueError("linearization requires n > J")
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    p = weights.p
-    B = np.zeros((J, J), dtype=complex)
-    powers = J - np.arange(J)
-    B[J - 1, :] = powers * beta[powers]
-    M = companion_matrix(n + k, cfg, weights)
-    R = M - companion_limit(cfg) - (p / n) * B
-    E = float(n * np.max(np.abs(R)))
-    return LinearizationParts(B, R, E)
-
-
 # ---------------------------------------------------------------------------
 # norm estimation
 # ---------------------------------------------------------------------------
@@ -286,20 +253,19 @@ def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     return NormEstimate(N, value, residual)
 
 
-def growth_verdict(values: Sequence[float], plateau_tol: float = 1e-3,
-                   growth_tol: float = 0.05) -> str:
+def growth_verdict(values: Sequence[float]) -> str:
     """Three-way verdict from a nondecreasing sequence at dyadic truncations.
 
-    Plateau (last-doubling relative increase below plateau_tol) declares
+    Plateau (last-doubling relative increase below _PLATEAU_TOL) declares
     likely-bounded outright.  A sequence whose increments decay geometrically
     is Cauchy: when the extrapolated remaining growth d*r/(1-r) stays within
     ten plateau tolerances it is also declared likely-bounded.  Sustained
-    relative growth beyond growth_tol declares likely-unbounded.
+    relative growth beyond _GROWTH_TOL declares likely-unbounded.
     """
     if len(values) < 2 or values[-1] <= 0:
         return INCONCLUSIVE
     rel = (values[-1] - values[-2]) / values[-1]
-    if rel < plateau_tol:
+    if rel < _PLATEAU_TOL:
         return LIKELY_BOUNDED
     diffs = np.diff(np.asarray(values, dtype=float))
     if len(diffs) >= 3 and np.all(diffs > 0):
@@ -307,9 +273,9 @@ def growth_verdict(values: Sequence[float], plateau_tol: float = 1e-3,
         r = float(np.max(ratios[-2:]))
         if r <= 0.85:
             remaining = diffs[-1] * r / (1.0 - r)
-            if remaining / values[-1] < 10 * plateau_tol:
+            if remaining / values[-1] < 10 * _PLATEAU_TOL:
                 return LIKELY_BOUNDED
-    if rel > growth_tol:
+    if rel > _GROWTH_TOL:
         return LIKELY_UNBOUNDED
     return INCONCLUSIVE
 
@@ -322,27 +288,25 @@ class ContainmentReport:
     column_norm_cancellation: float   # rounding amplification of column_norms**2
     plateau_rel: float
     rate_measured: Optional[float]
-    rate_margin: float
     verdict: str
     verdict_reason: str
 
 
-def decay_rate_samples(cfg: BoundaryConfig, weights: WeightSequence,
-                       samples: Sequence[int] = (2000, 8000, 32000, 128000),
-                       epsilon: float = 1e-2) -> Optional[np.ndarray]:
+def decay_rate_samples(cfg: BoundaryConfig,
+                       weights: WeightSequence) -> Optional[np.ndarray]:
     """Samples of the normalized product-norm decay rate
-    n (1 - ||Mhat_{n+mu-1} ... Mhat_n||) / mu at large n.
+    n (1 - ||Mhat_{n+mu-1} ... Mhat_n||) / mu at the n of _DECAY_SAMPLES.
 
     The boundedness dichotomy compares this quantity against 1/2; a verdict
     only needs every sample on the same side of the threshold, not a settled
     limit.  Returns None when no limit-point exponent mu is found.
     """
     try:
-        mu = mu_search(cfg, epsilon)
+        mu = mu_search(cfg, _MU_EPSILON)
     except SearchFailureError:
         return None
     vals = []
-    for n in samples:
+    for n in _DECAY_SAMPLES:
         nrm = product_norm(n, mu, cfg, weights, conjugated=True)
         vals.append(n * (1.0 - nrm) / mu)
     return np.asarray(vals)
@@ -392,17 +356,16 @@ def _column_norms(L: BasisBand, Lhat: BasisBand) -> tuple:
 
 
 def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
-                       N_list: Sequence[int], plateau_tol: float = 1e-3,
-                       rate_margin: float = 0.05) -> ContainmentReport:
+                       N_list: Sequence[int]) -> ContainmentReport:
     """Norm growth of truncations of C plus a boundedness verdict.  The
     section norms and the column norms of the largest section are taken on
     the bands, in O(N J) memory.
 
     The verdict first applies the plateau rule (last-doubling relative
-    increase below plateau_tol).  When truncated norms are still visibly
+    increase below _PLATEAU_TOL).  When truncated norms are still visibly
     growing, the boundedness dichotomy takes over: sampled decay rates of
     conjugated companion products are compared against 1/2, which is the
-    decidable side of the problem; samples straddling the threshold stay
+    decidable side of the problem; samples within _RATE_MARGIN of it stay
     inconclusive.  All numbers feeding the verdict are reported.
     """
     N_list = sorted(int(N) for N in N_list)
@@ -420,37 +383,24 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
     plateau_rel = (values[-1] - values[-2]) / values[-1] if len(values) > 1 else np.inf
 
     rate = None
-    if plateau_rel < plateau_tol:
+    if plateau_rel < _PLATEAU_TOL:
         verdict, reason = LIKELY_BOUNDED, "plateau"
     else:
         reason = "decay-rate"
         samples = decay_rate_samples(cfg, weights)
         if samples is None:
             verdict = INCONCLUSIVE
-        elif np.all(samples > 0.5 + rate_margin):
+        elif np.all(samples > 0.5 + _RATE_MARGIN):
             verdict, rate = LIKELY_BOUNDED, float(np.min(samples))
-        elif np.all(samples < 0.5 - rate_margin):
+        elif np.all(samples < 0.5 - _RATE_MARGIN):
             verdict, rate = LIKELY_UNBOUNDED, float(np.max(samples))
         else:
             verdict = INCONCLUSIVE
             rate = float(np.median(samples))
     return ContainmentReport(
         tuple(N_list), tuple(estimates), col_norms, cancellation,
-        float(plateau_rel), rate, rate_margin, verdict, reason,
+        float(plateau_rel), rate, verdict, reason,
     )
-
-
-def adams_mcguire_matrix(p: float, N: int) -> np.ndarray:
-    """The comparison matrix whose boundedness is equivalent to p > 1/2:
-    zero on and above the diagonal, entry (n, k) = p/(k+2) ((k+2)/(n+1))^p
-    below it."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    M = np.zeros((N, N))
-    for n in range(1, N):
-        k = np.arange(n)
-        M[n, :n] = p / (k + 2.0) * ((k + 2.0) / (n + 1.0)) ** p
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +436,15 @@ def starting_alpha_limit(cfg: BoundaryConfig) -> np.ndarray:
     return lam
 
 
-def fit_starting_decay(cfg: BoundaryConfig, weights: WeightSequence,
-                       n_fit: int = 64) -> StartingDecayFit:
+def fit_starting_decay(cfg: BoundaryConfig,
+                       weights: WeightSequence) -> StartingDecayFit:
     if not weights.rate_hypothesis:
         raise ValueError("decay fit requires n (1 - a_n) -> p weights")
     J, p = cfg.J, weights.p
     measured = max(
         float(np.linalg.norm(starting_vector(n, cfg, weights))) * (n + J) / p
-        for n in range(J + 1, n_fit + 1)
+        for n in range(J + 1, _N_FIT + 1)
     )
     lam = np.linalg.norm(starting_alpha_limit(cfg))
-    asym = float(lam) * weights.decay_factor_sup(n_fit + 1, J)
+    asym = float(lam) * weights.decay_factor_sup(_N_FIT + 1, J)
     return StartingDecayFit(max(measured, asym), measured, asym)

@@ -201,7 +201,7 @@ def test_criterion_09_multiplier_and_constant():
     rep = mz_norm_report(CFG_ONE, HARM1, [256, 512, 1024, 2048])
     vals = [e.value for e in rep.full_norms]
     plateau_rel = (vals[-1] - vals[-2]) / vals[-1]
-    sup_err = constant_sup_error(exp.coeffs, CFG_ONE, HARM1, radius=0.9)
+    sup_err = constant_sup_error(exp.coeffs, CFG_ONE, HARM1)
     ok = (coeff_err <= 1e-12 and rep.verdict == "likely-bounded"
           and plateau_rel < 1e-3 and sup_err <= 1e-6)
     report(9, f"constant expansion c_j = 1/(j+1) (err {coeff_err:.2e}), "
@@ -222,7 +222,7 @@ def test_criterion_10_starting_vector_decay():
     ok = True
     for cfg in configs:
         for weights in weight_choices:
-            fit = fit_starting_decay(cfg, weights, n_fit=64)
+            fit = fit_starting_decay(cfg, weights)
             for n in (128, 256, 512, 1024, 2048, 4096, 10_000):
                 v = float(np.linalg.norm(starting_vector(n, cfg, weights)))
                 lhs = v * (n + cfg.J) / weights.p

@@ -5,14 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bandkern import (
+    BasisBand,
     BoundaryConfig,
     DomainError,
     TruncationError,
     WeightSequence,
-    basis_coeffs,
     beta_coefficients,
     domain_report,
-    eval_f,
     eval_f_prefix,
     h2_coeffs,
     kernel_eval,
@@ -25,12 +24,13 @@ from conftest import random_rational_config
 # --- basis coefficients -------------------------------------------------------
 
 def test_basis_coeffs_powerlaw_example(cfg_pm1, pow2):
-    be = basis_coeffs(0, cfg_pm1, pow2)
-    assert_allclose(be.degrees, [0, 1, 2])
-    assert_allclose(be.taylor, [1.0, 0.0, -9.0 / 16.0], atol=1e-15)
-    be2 = basis_coeffs(2, cfg_pm1, pow2)
-    assert be2.degrees[-1] == 4
-    assert abs(be2.taylor[-1] + 225.0 / 256.0) <= 1e-15
+    # the Taylor data of f_n sits at degrees n..n+J
+    e = np.eye(6)
+    assert_allclose(h2_coeffs(e[0], cfg_pm1, pow2),
+                    [1.0, 0.0, -9.0 / 16.0, 0.0, 0.0, 0.0], atol=1e-15)
+    y2 = h2_coeffs(e[2], cfg_pm1, pow2)
+    assert_allclose(y2[:2], 0.0, atol=0)
+    assert abs(y2[4] + 225.0 / 256.0) <= 1e-15
 
 
 def test_basis_coeffs_scaling_identity(cfg_cube, harm1):
@@ -38,34 +38,36 @@ def test_basis_coeffs_scaling_identity(cfg_cube, harm1):
     beta = beta_coefficients(cfg_cube)
     phi = phi_from_roots(cfg_cube)
     assert_allclose(phi.scale_argument(1.0).coeffs, beta, atol=1e-15)
+    assert_allclose(BasisBand(cfg_cube, None, 1).ab[:, 0], beta, atol=0)
     # and in general they are beta_k a_n^k
-    be = basis_coeffs(3, cfg_cube, harm1)
     a3 = harm1.a(3)
-    assert_allclose(be.taylor, beta * a3 ** np.arange(4), atol=1e-15)
+    assert_allclose(BasisBand(cfg_cube, harm1, 1, start=3).ab[:, 0],
+                    beta * a3 ** np.arange(4), atol=1e-15)
 
 
 # --- pointwise evaluation -------------------------------------------------------
 
 def test_eval_f_at_zero(cfg_pm1, harm1):
-    for n in (1, 2, 5):
-        assert eval_f(n, 0.0, cfg_pm1, harm1) == 0.0
-    assert eval_f(0, 0.0, cfg_pm1, harm1) == 1.0
+    assert_allclose(eval_f_prefix(6, 0.0, cfg_pm1, harm1), [1, 0, 0, 0, 0, 0],
+                    atol=0)
 
 
 def test_eval_f_examples(cfg_one, cfg_pm1, harm1):
     # J=1, a_0 = 1/2: f_0(1) = 1 - a_0 = 1/2
-    assert abs(eval_f(0, 1.0, cfg_one, harm1) - 0.5) <= 1e-15
+    assert abs(eval_f_prefix(1, 1.0, cfg_one, harm1)[0] - 0.5) <= 1e-15
     # J=2 roots +-1 at z=1: f_n(1) = 1 - a_n^2
+    f = eval_f_prefix(5, 1.0, cfg_pm1, harm1)
     for n in (0, 1, 4):
         an = harm1.a(n)
-        assert abs(eval_f(n, 1.0, cfg_pm1, harm1) - (1 - an ** 2)) <= 1e-14
+        assert abs(f[n] - (1 - an ** 2)) <= 1e-14
 
 
 def test_eval_f_prefix_matches_scalar(cfg_cube, harm1):
-    rng = np.random.default_rng(0)
+    # scalar oracle: f_n(z) = z^n * phi(a_n z) by Horner in phi, one n at a time
+    phi = phi_from_roots(cfg_cube)
     for z in (0.3 + 0.4j, cfg_cube.roots[1], 0.9):
         pref = eval_f_prefix(12, z, cfg_cube, harm1)
-        direct = [eval_f(n, z, cfg_cube, harm1) for n in range(12)]
+        direct = [complex(z) ** n * phi(harm1.a(n) * complex(z)) for n in range(12)]
         assert_allclose(pref, direct, atol=1e-12)
 
 
@@ -213,7 +215,8 @@ def test_h2_coeffs_unit_vectors(cfg_pm1, pow2):
     e0 = np.zeros(8)
     e0[0] = 1.0
     y = h2_coeffs(e0, cfg_pm1, pow2)
-    assert_allclose(y[:3], basis_coeffs(0, cfg_pm1, pow2).taylor, atol=1e-15)
+    beta = beta_coefficients(cfg_pm1)
+    assert_allclose(y[:3], beta * pow2.a(0) ** np.arange(3), atol=1e-15)
     assert_allclose(y[3:], 0.0, atol=1e-15)
     e3 = np.zeros(8)
     e3[3] = 1.0

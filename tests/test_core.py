@@ -242,9 +242,9 @@ def test_residue_power_sums_match_brute_force():
     # S[m, r] = sum_{k>=0} (1 - a_{N + d k + r})^s_m against explicit prefixes
     N, powers = 50, [2, 3, 5]
     w = WeightSequence.harmonic(1.0, 2.0)       # trigamma(N+2) at s=2, d=1
-    u = w.one_minus_prefix(10_000_000)[N:]
+    u = w.one_minus_a(np.arange(10_000_000))[N:]
     wp = WeightSequence.power_law(2.0)
-    up = np.asarray(wp.one_minus_prefix(1_000_000))[N:]
+    up = np.asarray(wp.one_minus_a(np.arange(1_000_000)))[N:]
     for d in (1, 3):
         S = w.residue_power_sums(powers, d, N)
         Sp = wp.residue_power_sums(powers, d, N)
@@ -263,6 +263,6 @@ def test_residue_power_sums_match_brute_force():
 def test_cube_tail_bound():
     w = WeightSequence.harmonic(1.5, 2.0)
     N = 40
-    brute = float(np.sum(np.abs(w.one_minus_prefix(2_000_000)[N:]) ** 3))
+    brute = float(np.sum(np.abs(w.one_minus_a(np.arange(2_000_000))[N:]) ** 3))
     bound = w.cube_tail_bound(N)
     assert brute <= bound <= brute * 1.2

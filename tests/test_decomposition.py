@@ -6,23 +6,16 @@ from numpy.testing import assert_allclose
 
 from bandkern import (
     BoundaryConfig,
+    Poly,
     WeightSequence,
     beta_coefficients,
-    boundary_coeffs,
     bp_apply,
     c_column,
-    chat_apply,
-    chat_column_norms,
     decompose,
-    enforce_vanishing,
     eval_f_prefix,
-    finite_section_matrix,
-    gram_matrix,
     h2_coeffs,
     kernel_eval,
-    p_polynomials,
     partial_gram,
-    permissible,
     phi_from_roots,
     q_polynomial,
     reconstruct,
@@ -36,48 +29,62 @@ from conftest import random_rational_config
 # --- Gram matrix -----------------------------------------------------------------
 
 def test_gram_single_root(cfg_one, harm1):
-    g = gram_matrix(cfg_one, harm1, tol=1e-10)
+    # sum_{n<N} (n+2)^-2 falls short of pi^2/6 - 1 by less than 1/(N+1)
+    N = 1 << 16
+    g = partial_gram(cfg_one, harm1, N)
     assert g.matrix.shape == (1, 1)
-    assert abs(g.matrix[0, 0] - (math.pi ** 2 / 6 - 1)) <= 1e-9
+    assert 0 < (math.pi ** 2 / 6 - 1) - g.matrix[0, 0].real <= 1.0 / (N + 1)
     assert g.cond == pytest.approx(1.0)
+    assert g.truncation == N
 
 
 def test_gram_hermitian_and_invertible(cfg_cube, harm1):
-    g = gram_matrix(cfg_cube, harm1, tol=1e-9)
-    assert np.max(np.abs(g.matrix - g.matrix.conj().T)) <= 1e-12  # symmetrized
+    g = partial_gram(cfg_cube, harm1, 4096)
+    assert np.max(np.abs(g.matrix - g.matrix.conj().T)) <= 1e-12
     assert np.isfinite(g.cond)
     assert g.cond < 1e6
 
 
 def test_partial_gram_matches_full_for_large_prefix(cfg_pm1, harm1):
     gN = partial_gram(cfg_pm1, harm1, 200_000)
-    g = gram_matrix(cfg_pm1, harm1, tol=1e-9)
-    assert np.max(np.abs(gN.matrix - g.matrix)) <= 1e-4
+    full = np.array([[kernel_eval(zj, zi, cfg_pm1, harm1, 1e-9).value
+                      for zj in cfg_pm1.roots] for zi in cfg_pm1.roots])
+    assert np.max(np.abs(gN.matrix - full)) <= 1e-4
     assert gN.truncation == 200_000
 
 
-def test_boundary_coeffs_trivial_and_kernel_column(cfg_pm1, harm1):
-    g = gram_matrix(cfg_pm1, harm1, tol=1e-10)
-    b0 = boundary_coeffs(np.zeros(2), g)
-    assert_allclose(b0, 0.0, atol=1e-14)
-    # f = K(., z_1): values f(z_i) = K(z_i, z_1), loadings must be e_1
-    fvals = np.array([kernel_eval(z, cfg_pm1.roots[0], cfg_pm1, harm1, 1e-10).value
-                      for z in cfg_pm1.roots])
-    b = boundary_coeffs(fvals, g)
-    assert_allclose(b, [1.0, 0.0], atol=1e-8)
-
-
 def test_boundary_coeffs_roundtrip_complex_config(harm1):
+    # kernel loadings of sum_j b0_j K(., z_j) on roots without symmetry
     cfg = BoundaryConfig.from_angles(["1/8", "1/3", "17/24"])
-    g = gram_matrix(cfg, harm1, tol=1e-10)
     rng = np.random.default_rng(3)
     b0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    # f(z_i) = sum_j b0_j K(z_i, z_j) = sum_j b0_j A[j, i]
-    fvals = g.matrix.T @ b0
-    assert_allclose(boundary_coeffs(fvals, g), b0, atol=1e-8)
+    alpha, _ = reconstruct(np.zeros(1), b0, cfg, harm1, 512)
+    dec = decompose(alpha, cfg, harm1)
+    assert_allclose(dec.b, b0, atol=1e-8)
+    assert np.max(np.abs(dec.g)) <= 1e-8
 
 
 # --- polynomial families ------------------------------------------------------------
+
+def p_polynomials(n_max, cfg):
+    """Oracle for the columns of bp_apply: p_0 = 1,
+    p_n = beta_n x^n - sum_{i=1..n} beta_i p_{n-i} while n <= J, then the
+    homogeneous tail rule; column k of Lhat^-1 L holds p_{n-k}(a_k) at row n."""
+    beta = beta_coefficients(cfg)
+    J = len(beta) - 1
+    ps = [Poly([1.0])]
+    for n in range(1, n_max + 1):
+        if n <= J:
+            coeffs = np.zeros(n + 1, dtype=complex)
+            coeffs[n] = beta[n]
+            acc = Poly(coeffs, trim=False)
+        else:
+            acc = Poly([0.0])
+        for i in range(1, min(n, J) + 1):
+            acc = acc - beta[i] * ps[n - i]
+        ps.append(acc)
+    return ps
+
 
 def test_p_polynomials_first_members(cfg_cube):
     beta = beta_coefficients(cfg_cube)
@@ -144,7 +151,7 @@ def test_q_bound_constant_finite(cfg_pm1, harm1):
             assert abs(q(harm1.a(m))) <= (c + 1e-9) * harm1.one_minus_a(m)
 
 
-# --- the two encodings ---------------------------------------------------------------
+# --- the quotient encoding -----------------------------------------------------------
 
 def test_bp_apply_first_column(cfg_pm1, harm1):
     N = 24
@@ -180,55 +187,19 @@ def test_bp_apply_single_root_closed_form(cfg_one, harm1):
                         atol=1e-13)
 
 
-def test_permissible_flags(cfg_pm1, harm1):
-    rng = np.random.default_rng(8)
-    alpha = rng.standard_normal(64)
-    raw = permissible(alpha, cfg_pm1, harm1)
-    assert not raw.enforced
-    fixed = enforce_vanishing(alpha, cfg_pm1, harm1)
-    assert fixed.enforced
-    assert np.max(fixed.residuals) <= 1e-10
-    with pytest.raises(ValueError):
-        chat_apply(raw, cfg_pm1, harm1)
-
-
-def test_chat_apply_zero(cfg_pm1, harm1):
-    z = permissible(np.zeros(32), cfg_pm1, harm1)
-    assert z.enforced
-    assert_allclose(chat_apply(z, cfg_pm1, harm1), 0.0, atol=1e-15)
-
-
-def test_chat_agrees_with_bp_on_permissible():
-    rng = np.random.default_rng(9)
-    N = 256
-    for angles in (["0"], ["0", "1/2"], ["0", "1/3", "2/3"]):
+def test_bp_apply_recovers_shifted_phi():
+    # alpha of phi * z^m is column m of C = L^-1 Lhat, whose quotient
+    # Lhat^-1 L alpha is z^m
+    for angles in (["0", "1/2"], ["0", "1/3", "2/3"]):
         cfg = BoundaryConfig.from_angles(angles)
-        weights = WeightSequence.harmonic(1.0, 2.0)
-        for _ in range(7):
-            alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            alpha /= np.linalg.norm(alpha)
-            perm = enforce_vanishing(alpha, cfg, weights)
-            gb = bp_apply(perm.alpha, cfg, weights)
-            gc = chat_apply(perm, cfg, weights)
-            assert np.max(np.abs(gb - gc)) <= 1e-6
-
-
-def test_chat_recovers_shifted_phi():
-    # alpha of phi * z^m: the underlying function vanishes at the roots, so
-    # chat acts like the plain encoding up to the prefix-tail residual;
-    # fast-decaying weights push that residual below 1e-7
-    from bandkern import PermissibleSequence
-
-    cfg = BoundaryConfig.from_angles(["0", "1/2"])
-    weights = WeightSequence.harmonic(4.0, 5.0)
-    N, m = 1024, 3
-    alpha = np.zeros(N, dtype=complex)
-    alpha[m:] = c_column(m, N - 1 - m, cfg, weights)    # column m of C_N
-    perm = PermissibleSequence(alpha, True, permissible(alpha, cfg, weights).residuals)
-    g = chat_apply(perm, cfg, weights)
-    e_m = np.zeros(N)
-    e_m[m] = 1.0
-    assert np.max(np.abs(g - e_m)) <= 1e-7
+        for weights in (WeightSequence.harmonic(4.0, 5.0),
+                        WeightSequence.harmonic(1.0, 2.0)):
+            N, m = 1024, 3
+            alpha = np.zeros(N, dtype=complex)
+            alpha[m:] = c_column(m, N - 1 - m, cfg, weights)    # column m of C_N
+            e_m = np.zeros(N)
+            e_m[m] = 1.0
+            assert np.max(np.abs(bp_apply(alpha, cfg, weights) - e_m)) <= 1e-12
 
 
 # --- decompose / reconstruct -----------------------------------------------------------
@@ -297,49 +268,3 @@ def test_roundtrip_random(p):
             assert np.max(np.abs(dec.b - b0)) <= 1e-6
             assert np.max(np.abs(dec.g[: deg + 1] - g0)) <= 1e-6
             assert np.max(np.abs(dec.g[deg + 1:])) <= 1e-6
-
-
-# --- finite sections and column growth ---------------------------------------------
-
-def test_finite_section_single_root(cfg_one, harm1):
-    fs = finite_section_matrix(5, cfg_one, harm1)
-    assert fs.B.shape == (1, 1)
-    expect = (1 - harm1.a(5)) * 1.0  # z_1 = 1
-    assert abs(fs.B[0, 0] - expect) <= 1e-14
-    assert fs.invertible
-
-
-def test_finite_section_factorization(cfg_cube, harm1):
-    for n in (0, 4, 40):
-        fs = finite_section_matrix(n, cfg_cube, harm1)
-        rows = np.arange(n, n + cfg_cube.J)
-        D1 = np.diag(np.asarray(harm1.one_minus_a(rows), dtype=complex))
-        D2 = np.diag([z ** n for z in cfg_cube.roots])
-        assert np.max(np.abs(fs.B - D1 @ fs.C @ D2)) <= 1e-12
-        assert fs.invertible
-
-
-def test_finite_section_invertible_sampled(cfg_pm1, harm1):
-    for n in range(0, 24):
-        assert finite_section_matrix(n, cfg_pm1, harm1).invertible
-
-
-def test_finite_section_limit(cfg_pm1, harm1):
-    gaps = []
-    for n in (100, 1000, 10000):
-        fs = finite_section_matrix(n, cfg_pm1, harm1)
-        gaps.append(np.max(np.abs(fs.C - fs.limit)))
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] < 1e-3
-
-
-def test_chat_columns_diverge_for_slow_weights(cfg_pm1):
-    slow = WeightSequence.power_law(0.25)
-    norms = chat_column_norms(cfg_pm1, slow, [64, 256, 1024, 4096])
-    assert np.all(np.diff(norms) > 0)
-    assert norms[-1] / norms[0] > 2.0
-
-
-def test_chat_columns_bounded_for_harmonic(cfg_pm1, harm1):
-    norms = chat_column_norms(cfg_pm1, harm1, [64, 256, 1024, 4096])
-    assert norms[-1] < 3.0

@@ -8,17 +8,15 @@ from bandkern import (
     BoundaryConfig,
     Poly,
     WeightSequence,
-    advance_window,
     constant_expansion,
     eval_f_prefix,
     h2_coeffs,
-    mz_apply,
-    mz_column,
     mz_norm_report,
     phi_from_roots,
     polynomial_membership,
 )
-from bandkern.multiplier import constant_sup_error
+from bandkern.multiplier import _mz_apply, constant_sup_error
+from bandkern.recursion import _companion
 
 from conftest import dense_basis_matrix, random_rational_config
 
@@ -35,22 +33,29 @@ def rel_err(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
+def mz_apply(alpha, cfg, weights):
+    """M_z alpha on the band of the prefix length of alpha."""
+    return _mz_apply(BasisBand(cfg, weights, len(alpha)), np.asarray(alpha))
+
+
 # --- multiplication columns -----------------------------------------------------
 
 def test_mz_column_leading_one():
+    # column n of M_z vanishes on and above the diagonal, with c_{n+1,n} = 1
     rng = np.random.default_rng(20)
     for _ in range(8):
         cfg = random_rational_config(rng, J_max=4)
         weights = WeightSequence.harmonic(float(rng.uniform(0.5, 2)), 2.0)
-        col = mz_column(int(rng.integers(0, 20)), cfg.J + 4, cfg, weights)
-        assert col.entries[0] == 1.0
-        assert col.rows[0] == col.n + 1
+        n = int(rng.integers(0, 20))
+        col = mz_apply(np.eye(n + cfg.J + 5)[n], cfg, weights)
+        assert_allclose(col[: n + 1], 0.0, atol=0)
+        assert col[n + 1] == 1.0
 
 
 def test_mz_column_single_root_example(cfg_one, harm1):
-    col = mz_column(0, 6, cfg_one, harm1)
+    col = mz_apply(np.eye(7)[0], cfg_one, harm1)
     # c_{2,0} = beta_1 a_0 - beta_1 a_1 c_{1,0} = a_1 - a_0
-    assert abs(col.entries[1] - (harm1.a(1) - harm1.a(0))) <= 1e-15
+    assert abs(col[2] - (harm1.a(1) - harm1.a(0))) <= 1e-15
 
 
 def test_mz_series_multiplication_oracle():
@@ -83,8 +88,8 @@ def test_mz_routes_match_dense_oracle():
         alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         assert rel_err(mz_apply(alpha, cfg, weights), ref @ alpha) <= ORACLE_RTOL
         n = int(rng.integers(0, 40))
-        col = mz_column(n, N - 1 - n, cfg, weights)
-        assert rel_err(col.entries, ref[n + 1:, n]) <= ORACLE_RTOL
+        col = mz_apply(np.eye(N)[n], cfg, weights)
+        assert rel_err(col, ref[:, n]) <= ORACLE_RTOL
 
 
 def test_basis_band_products_and_adjoints_match_dense_oracle():
@@ -115,14 +120,12 @@ def test_sections_real_exactly_when_band_is(cfg_pm1, cfg_cube, harm1):
 def test_mz_tail_matches_window_recursion(cfg_cube, harm1):
     # beyond the band the column entries advance by the companion matrices
     n, J = 2, cfg_cube.J
-    col = mz_column(n, 24, cfg_cube, harm1)
-    ents = np.concatenate([np.zeros(1), col.entries])  # index k-n = 0 at row n
-    # window (c_{m-J+1,n},...,c_{m,n}) starting at m = n + J + 1
-    v = ents[2 + J - J: 2 + J]
-    v = np.array([ents[j] for j in range(2, 2 + J)], dtype=complex)
-    for m in range(n + J + 2, n + 22):
-        v = advance_window(v, m, cfg_cube, harm1)
-        assert abs(v[-1] - ents[m - n]) <= 1e-10
+    col = mz_apply(np.eye(n + 25)[n], cfg_cube, harm1)
+    band = BasisBand(cfg_cube, harm1, n + 22)
+    v = col[n + 2: n + 2 + J]            # window ending at row m = n + J + 1
+    for m in range(n + J + 1, n + 21):
+        v = _companion(band.ab[:, m - J + 1: m + 1]) @ v   # M_m: row m + 1
+        assert abs(v[-1] - col[m + 1]) <= 1e-10
 
 
 def test_multiplication_consistency_random_alpha(cfg_pm1, harm1):
@@ -148,7 +151,7 @@ def test_constant_expansion_harmonic_closed_form(cfg_one, harm1):
 
 def test_constant_expansion_approximates_one(cfg_pm1, harm1):
     rep = constant_expansion(2048, cfg_pm1, harm1)
-    err = constant_sup_error(rep.coeffs, cfg_pm1, harm1, radius=0.9)
+    err = constant_sup_error(rep.coeffs, cfg_pm1, harm1)
     assert err <= 1e-6
     assert rep.verdict == "likely-bounded"
 

@@ -10,16 +10,12 @@ from bandkern import (
     BoundaryConfig,
     SearchFailureError,
     WeightSequence,
-    adams_mcguire_matrix,
-    advance_window,
     beta_coefficients,
     c_column,
     companion_limit,
-    companion_matrix,
     containment_report,
     eigen_basis,
     fit_starting_decay,
-    linearization_parts,
     mu_search,
     mz_norm_report,
     nu0_expansion,
@@ -28,6 +24,7 @@ from bandkern import (
     triangular_solve_oracle,
 )
 from bandkern.recursion import (
+    _companion,
     decay_rate_samples,
     growth_verdict,
     starting_alpha_limit,
@@ -116,11 +113,21 @@ def test_recursion_matches_triangular_oracle():
 
 # --- companion matrices ------------------------------------------------------
 
+def companion_matrix(n, cfg, weights):
+    """M_n from the band window of columns n-J+1..n, as product_norm forms it."""
+    return _companion(BasisBand(cfg, weights, cfg.J, start=n - cfg.J + 1).ab)
+
+
 def test_companion_shape_and_shift_rows(cfg_cube, harm1):
     M = companion_matrix(5, cfg_cube, harm1)
     assert M.shape == (3, 3)
     assert_allclose(M[0], [0, 1, 0])
     assert_allclose(M[1], [0, 0, 1])
+    # bottom row (-beta_3 a_3^3, -beta_2 a_4^2, -beta_1 a_5)
+    beta = beta_coefficients(cfg_cube)
+    a = harm1.prefix(6)
+    assert_allclose(M[2], [-beta[3] * a[3] ** 3, -beta[2] * a[4] ** 2,
+                           -beta[1] * a[5]], atol=1e-15)
 
 
 def test_companion_converges_to_limit(cfg_cube, harm1):
@@ -149,7 +156,7 @@ def test_window_recursion_consistency(cfg_cube, harm1):
     col = c_column(n, 20, cfg_cube, harm1)
     v = col[1: J + 1]                      # v_{n+J,n}
     for k in range(J + 1, 21):
-        v = advance_window(v, n + k, cfg_cube, harm1)
+        v = companion_matrix(n + k - 1, cfg_cube, harm1) @ v
         assert abs(v[-1] - col[k]) <= 1e-12
 
 
@@ -158,6 +165,18 @@ def test_starting_vector_examples(cfg_one, cfg_pm1, harm1):
     assert_allclose(v, [-harm1.one_minus_a(7)], atol=1e-15)
     v2 = starting_vector(5, cfg_pm1, harm1)
     assert v2[0] == 0.0                     # beta_1 = 0 for roots +-1
+
+
+def test_starting_vector_exact_without_cancellation():
+    # J = 1: c_{n+1,n} = beta_1 (1 - a_n) with |beta_1| = 1, so with p = 2
+    # and offset 1 the normalized window norm (n+1) ||v|| / p is 1 to the
+    # last bit
+    weights = WeightSequence.harmonic(2.0, 1.0)
+    for angle in ("0", "23/24"):
+        cfg = BoundaryConfig.from_angles([angle])
+        for n in (10 ** 4, 10 ** 5):
+            v = starting_vector(n, cfg, weights)
+            assert np.linalg.norm(v) * (n + 1) / weights.p == 1.0
 
 
 def test_starting_vector_ratio_bounded(cfg_pm1, harm1):
@@ -200,7 +219,7 @@ def test_mu_search_failure_carries_best():
     assert exc.value.best_error > 0
 
 
-# --- product norms and linearization ------------------------------------------
+# --- product norms ------------------------------------------------------------
 
 def test_product_norm_scalar_case(cfg_one, harm1):
     for n in (5, 50, 500):
@@ -226,30 +245,6 @@ def test_product_norm_decay_bound(cfg_pm1):
         for n in (2000, 20_000, 100_000):
             nrm = product_norm(n, mu, cfg_pm1, weights, conjugated=True)
             assert nrm <= 1 - (mu * p - eps) / n
-
-
-def test_linearization_reconstructs_exactly():
-    rng = np.random.default_rng(15)
-    for _ in range(8):
-        cfg = random_rational_config(rng, J_max=4)
-        weights = WeightSequence.harmonic(float(rng.uniform(0.5, 2)), 2.0)
-        n, k = int(rng.integers(cfg.J + 1, 50)), int(rng.integers(0, 5))
-        parts = linearization_parts(n, k, cfg, weights)
-        M = companion_limit(cfg) + (weights.p / n) * parts.B + parts.R
-        assert np.max(np.abs(M - companion_matrix(n + k, cfg, weights))) <= 1e-14
-
-
-def test_linearization_scalar_case(cfg_one, harm1):
-    parts = linearization_parts(20, 0, cfg_one, harm1)
-    assert_allclose(parts.B, [[-1.0]])
-    expect_R = -(1 - harm1.a(20) - harm1.p / 20)
-    assert parts.R[0, 0] == pytest.approx(expect_R, abs=1e-15)
-
-
-def test_linearization_residual_vanishes(cfg_pm1, harm1):
-    E = [linearization_parts(n, 0, cfg_pm1, harm1).E for n in (100, 1000, 10000)]
-    assert E[0] > E[1] > E[2]
-    assert E[2] < 1e-2
 
 
 def test_entrywise_product_norm_bound():
@@ -344,34 +339,6 @@ def test_growth_verdict_thresholds():
     assert growth_verdict([1.0, 1.5]) == "likely-unbounded"
     assert growth_verdict([1.0, 1.02]) == "inconclusive"
     assert growth_verdict([1.0]) == "inconclusive"
-
-
-# --- comparison matrix ----------------------------------------------------------
-
-def test_adams_mcguire_displayed_corner():
-    p = 0.8
-    M = adams_mcguire_matrix(p, 5)
-    assert_allclose(M[0], 0.0)
-    assert M[1, 0] == pytest.approx(p / 2)
-    assert M[2, 0] == pytest.approx(p / 2 * (2 / 3) ** p)
-    assert M[2, 1] == pytest.approx(p / 3)
-    assert M[3, 0] == pytest.approx(p / 2 * (2 / 4) ** p)
-    assert M[3, 1] == pytest.approx(p / 3 * (3 / 4) ** p)
-    assert M[4, 0] == pytest.approx(p / 2 * (2 / 5) ** p)
-    assert M[4, 1] == pytest.approx(p / 3 * (3 / 5) ** p)
-    assert M[4, 2] == pytest.approx(p / 4 * (4 / 5) ** p)
-    assert M[4, 3] == pytest.approx(p / 5)
-    assert np.all(np.triu(M) == 0)
-
-
-def test_adams_mcguire_dichotomy_in_norms():
-    sizes = [128, 256, 512, 1024]
-    slow = [np.linalg.norm(adams_mcguire_matrix(0.25, N), 2) for N in sizes]
-    fast = [np.linalg.norm(adams_mcguire_matrix(1.5, N), 2) for N in sizes]
-    assert slow[-1] / slow[0] > 1.5                  # keeps growing
-    assert fast[-1] / fast[0] < 1.05                 # nearly flat ...
-    assert np.all(np.diff(np.diff(slow)) > 0)        # ... increments growing
-    assert np.all(np.diff(np.diff(fast)) < 0)        # ... increments shrinking
 
 
 # --- starting-vector decay fit ---------------------------------------------------
