@@ -14,7 +14,7 @@ from bandkern import (
     homogeneous_symmetric,
     louck_power_sum,
     mu_weights,
-    q_polynomial,
+    q_coefficients,
 )
 
 cfg = BoundaryConfig.from_angles(["0", "1/4", "1/3", "3/5"])
@@ -38,6 +38,7 @@ for m in range(1, 2 * J + 1):
     print(f"  m={m}: |sum| = {abs(s):.2e}")
 
 print()
-print("boundary polynomials vanish at 1:")
-for n in (-3, 0, 2, 7):
-    print(f"  |Q_{n}(1)| = {abs(q_polynomial(n, cfg)(1.0)):.2e}")
+print("boundary polynomials vanish at 1 (their coefficients sum to 0):")
+ns = (-3, 0, 2, 7)
+for n, row in zip(ns, q_coefficients(ns, cfg)):
+    print(f"  |Q_{n}(1)| = {abs(row.sum()):.2e}")

@@ -56,7 +56,7 @@ from .decomposition import (
     bp_apply,
     decompose,
     partial_gram,
-    q_polynomial,
+    q_coefficients,
     reconstruct,
     taylor_to_basis,
 )

@@ -29,6 +29,7 @@ from .core import (
     phi_from_roots,
     phase_powers,
     phi_reduced,
+    root_powers,
 )
 
 CONVERGING = "converging"
@@ -91,7 +92,8 @@ def eval_f_prefix(N: int, z, cfg: BoundaryConfig, weights: WeightSequence,
 
     At a boundary root the cancellation-free factorization
     f_n(z_j) = z_j^n * (1 - a_n) * phi_j(a_n z_j) is used, where phi_j drops
-    the vanishing factor of phi.
+    the vanishing factor of phi, and z_j^n comes from ``root_powers``, which
+    does not drift with n.
     """
     z = complex(z)
     n = np.arange(start, start + N)
@@ -101,7 +103,7 @@ def eval_f_prefix(N: int, z, cfg: BoundaryConfig, weights: WeightSequence,
         return z ** n * _poly_at_scaled(phi_from_roots(cfg), z, a)
     red = phi_reduced(cfg, j)
     one_minus = weights.one_minus_a(n)
-    return z ** n * one_minus * _poly_at_scaled(red, z, a)
+    return root_powers(cfg, j, n) * one_minus * _poly_at_scaled(red, z, a)
 
 
 def _poly_at_scaled(poly: Poly, z: complex, a: np.ndarray) -> np.ndarray:

@@ -227,21 +227,22 @@ def _run_decomposition(ec: ExperimentConfig):
     rng = np.random.default_rng(ec.seed)
     J = ec.cfg.J
     deg = min(32, N // 8)
-    rows = []
-    worst = 0.0
+    g0 = np.empty((deg + 1, ec.trials), dtype=complex)
+    b0 = np.empty((J, ec.trials), dtype=complex)
     for t in range(ec.trials):
-        g0 = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        g0 /= np.linalg.norm(g0)
-        b0 = rng.standard_normal(J) + 1j * rng.standard_normal(J)
-        b0 /= max(1.0, float(np.linalg.norm(b0)))
-        alpha, _ = decomposition.reconstruct(g0, b0, ec.cfg, ec.weights, N)
-        dec = decomposition.decompose(alpha, ec.cfg, ec.weights, N)
-        err = max(float(np.max(np.abs(dec.b - b0))),
-                  float(np.max(np.abs(dec.g[: deg + 1] - g0))),
-                  float(np.max(np.abs(dec.g[deg + 1:]))))
-        worst = max(worst, err)
-        rows.append((t, "roundtrip_error", err))
-        rows.append((t, "taylor_residual", dec.residual))
+        g = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        g0[:, t] = g / np.linalg.norm(g)
+        b = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+        b0[:, t] = b / max(1.0, float(np.linalg.norm(b)))
+    alpha, _ = decomposition.reconstruct(g0, b0, ec.cfg, ec.weights, N)
+    dec = decomposition.decompose(alpha, ec.cfg, ec.weights, N)
+    errs = np.max(np.abs(np.vstack([dec.b - b0, dec.g[: deg + 1] - g0,
+                                    dec.g[deg + 1:]])), axis=0)
+    rows = []
+    for t in range(ec.trials):
+        rows.append((t, "roundtrip_error", float(errs[t])))
+        rows.append((t, "taylor_residual", float(dec.residual[t])))
+    worst = float(np.max(errs))
     gram = decomposition.partial_gram(ec.cfg, ec.weights, N)
     q_c = decomposition.measure_q_bound(ec.cfg, ec.weights)
     verdict = "pass" if worst <= ec.tolerance else "fail"
@@ -299,25 +300,27 @@ def _run_identities(ec: ExperimentConfig):
         configs.append(BoundaryConfig.from_angles(qs))
     for ci, cfg in enumerate(configs):
         J = cfg.J
-        w = cfg.conjugates
         beta = beta_coefficients(cfg)
-        for m in range(0, 3 * J + 1):
-            r = abs(louck_power_sum(m, cfg) - homogeneous_symmetric(m - J + 1, w))
+        h = homogeneous_symmetric(np.arange(-J, 3 * J + 1), cfg.conjugates)
+        for m in range(0, 3 * J + 1):     # h[J + k] holds h_k
+            r = abs(louck_power_sum(m, cfg) - h[m + 1])
             worst_louck = max(worst_louck, r)
             rows.append((m, f"louck_residual_cfg{ci}", r))
             if m >= 1:
-                s = sum(beta[i] * homogeneous_symmetric(m - i, w)
-                        for i in range(0, min(m, J) + 1))
-                worst_homo = max(worst_homo, abs(s))
-                rows.append((m, f"homogeneous_sum_residual_cfg{ci}", abs(s)))
+                s = abs(sum(beta[i] * h[J + m - i] for i in range(0, min(m, J) + 1)))
+                worst_homo = max(worst_homo, s)
+                rows.append((m, f"homogeneous_sum_residual_cfg{ci}", s))
+        # row J + k of the table holds Q_k, k = -J..2J
+        q = decomposition.q_coefficients(np.arange(-J, 2 * J + 1), cfg)
         for n in range(0, 2 * J + 1):
-            qs = [decomposition.q_polynomial(n - i, cfg) for i in range(min(n, J) + 1)]
-            for _ in range(5):
-                x = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
-                s = sum(beta[i] * qs[i](x) for i in range(min(n, J) + 1))
-                target = beta[n + 1] * (x ** (n + 1) - 1) if n + 1 <= J else 0.0
-                worst_q = max(worst_q, abs(s - target))
-            rows.append((n, f"q_recursion_residual_cfg{ci}", worst_q))
+            k = min(n, J)
+            u = rng.uniform(-1, 1, size=(5, 2)) / math.sqrt(2)
+            x = u[:, 0] + 1j * u[:, 1]
+            qx = q[J + n - k: J + n + 1][::-1] @ x ** np.arange(J + 1)[:, None]
+            target = beta[n + 1] * (x ** (n + 1) - 1) if n + 1 <= J else 0.0
+            r = float(np.max(np.abs(beta[: k + 1] @ qx - target)))
+            worst_q = max(worst_q, r)
+            rows.append((n, f"q_recursion_residual_cfg{ci}", r))
     tol = 1e-9
     ok = worst_louck <= tol and worst_homo <= tol and worst_q <= tol
     meas = {"max_louck_residual": worst_louck,

@@ -269,14 +269,16 @@ class BasisBand:
         self.N, self.J = N, len(beta) - 1
 
     def matvec(self, x, trans: str = "N") -> np.ndarray:
-        """L x (trans "C": L^H x) for x of length N, one pass per diagonal."""
+        """L x (trans "C": L^H x) for x of N rows (one or more columns),
+        one pass per diagonal."""
         x = np.asarray(x)
-        y = np.zeros(self.N, dtype=np.result_type(self.ab, x))
+        y = np.zeros(x.shape, dtype=np.result_type(self.ab, x))
+        ab = self.ab if x.ndim == 1 else self.ab[:, :, None]
         for k in range(min(self.J, self.N - 1) + 1):
             if trans == "C":
-                y[: self.N - k] += self.ab[k, : self.N - k].conj() * x[k:]
+                y[: self.N - k] += ab[k, : self.N - k].conj() * x[k:]
             else:
-                y[k:] += self.ab[k, : self.N - k] * x[: self.N - k]
+                y[k:] += ab[k, : self.N - k] * x[: self.N - k]
         return y
 
     def solve(self, b, overwrite_b: bool = False, trans: str = "N") -> np.ndarray:
@@ -294,26 +296,27 @@ class BasisBand:
 # symmetric-function machinery
 # ---------------------------------------------------------------------------
 
-def homogeneous_symmetric(k: int, points: Sequence[complex]) -> complex:
-    """Complete homogeneous symmetric polynomial h_k of the given points.
+def homogeneous_symmetric(k, points: Sequence[complex]):
+    """Complete homogeneous symmetric polynomial h_k of the given points, for
+    an integer k or, from one run of the recurrence, an integer array.
 
     h_k = 0 for k < 0 and h_0 = 1.  Computed through the O(k*J) recurrence
     h_k = -sum_{i>=1} gamma_i h_{k-i} with gamma the coefficients of
     prod_j (1 - x_j t); the brute-force monomial sum lives only in the tests.
     """
-    if k < 0:
-        return 0.0 + 0j
+    ks = np.asarray(k)
     gamma = np.array([1.0 + 0j])
     for x in points:
         gamma = np.convolve(gamma, np.array([1.0, -complex(x)]))
-    h = np.zeros(k + 1, dtype=complex)
+    h = np.zeros(max(int(np.max(ks)), 0) + 1, dtype=complex)
     h[0] = 1.0
-    for m in range(1, k + 1):
+    for m in range(1, len(h)):
         acc = 0.0 + 0j
         for i in range(1, min(m, len(gamma) - 1) + 1):
             acc -= gamma[i] * h[m - i]
         h[m] = acc
-    return complex(h[k])
+    out = np.where(ks >= 0, h[np.maximum(ks, 0)], 0.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 def mu_weights(cfg: BoundaryConfig) -> list:

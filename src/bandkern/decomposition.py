@@ -22,9 +22,7 @@ from .basis_kernel import eval_f_prefix, h2_coeffs
 from .core import (
     BasisBand,
     BoundaryConfig,
-    Poly,
     WeightSequence,
-    beta_coefficients,
     mu_weights,
     phi_from_roots,
     root_powers,
@@ -51,9 +49,8 @@ class GramMatrix:
 
 def partial_gram(cfg: BoundaryConfig, weights: WeightSequence, N: int) -> GramMatrix:
     """Exact Gram matrix of the length-N kernel partial sums."""
-    F = np.stack([eval_f_prefix(N, z, cfg, weights) for z in cfg.roots])
-    A = F @ F.conj().T  # A[i, j] = sum_n f_n(z_j) conj(f_n(z_i)) ... transposed below
-    A = A.T
+    kappa = _kernel_columns(cfg, weights, N)
+    A = kappa.T @ kappa.conj()
     return GramMatrix(A, float(np.linalg.cond(A)), N)
 
 
@@ -61,21 +58,21 @@ def partial_gram(cfg: BoundaryConfig, weights: WeightSequence, N: int) -> GramMa
 # the boundary polynomials Q_n
 # ---------------------------------------------------------------------------
 
-def q_polynomial(n: int, cfg: BoundaryConfig) -> Poly:
-    """Q_n(x) = sum_j (w_j^J / mu_j) phi(x / w_j) w_j^n, any integer n.
+def q_coefficients(ns, cfg: BoundaryConfig) -> np.ndarray:
+    """Row r holds the ascending coefficients of Q_{ns[r]}, where
+    Q_n(x) = sum_j (w_j^{J+n} / mu_j) phi(x / w_j) for any integer n.
 
-    Degree at most J and Q_n(1) = 0 for every n, since 1/w_j = z_j is a root
-    of phi.
+    The table is one product (W / mu) @ P with W[r, j] = w_j^{J+n_r} and
+    P[j] the coefficients of phi(z_j x) = phi(x / w_j).  Each Q_n has degree
+    at most J and Q_n(1) = 0, since 1/w_j = z_j is a root of phi.
     """
+    ns = np.asarray(ns, dtype=np.int64)
     phi = phi_from_roots(cfg)
-    mus = mu_weights(cfg)
-    J = cfg.J
-    acc = Poly([0.0])
-    for j, (z, mu) in enumerate(zip(cfg.roots, mus)):
-        # w_j^{J+n} = conj(z_j^{J+n}); scale_argument(z_j) realizes phi(x / w_j)
-        w_pow = complex(np.conj(root_powers(cfg, j, np.array([J + n]))[0]))
-        acc = acc + (w_pow / mu) * phi.scale_argument(z)
-    return acc
+    # w_j^m = conj(z_j^m), exact in the phase for rational angles
+    W = np.stack([np.conj(root_powers(cfg, j, cfg.J + ns))
+                  for j in range(cfg.J)], axis=-1)
+    P = np.stack([phi.scale_argument(z).coeffs for z in cfg.roots])
+    return (W / np.asarray(mu_weights(cfg))) @ P
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +81,20 @@ def q_polynomial(n: int, cfg: BoundaryConfig) -> Poly:
 
 def bp_apply(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
     """Quotient coefficients g with sum alpha_n f_n = phi * sum g_n z^n as
-    formal series: Lhat g = L alpha, i.e. g = Lhat^-1 L alpha."""
+    formal series: Lhat g = L alpha, i.e. g = Lhat^-1 L alpha, for alpha of
+    N rows (one or more columns)."""
     alpha = np.asarray(alpha, dtype=complex)
     N = len(alpha)
     y = BasisBand(cfg, weights, N).matvec(alpha)
     return BasisBand(cfg, None, N).solve(y, overwrite_b=True)
+
+
+def _kernel_columns(cfg: BoundaryConfig, weights: WeightSequence,
+                    N: int) -> np.ndarray:
+    """kappa[:, j] = conj(f_n(z_j)), n < N: the basis coefficients of the
+    boundary kernel K(., z_j)."""
+    return np.stack([np.conj(eval_f_prefix(N, z, cfg, weights))
+                     for z in cfg.roots], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,34 +120,36 @@ def decompose(alpha, cfg: BoundaryConfig, weights: WeightSequence,
     against phi*g + sum b_j K(., z_j) on degrees <= N - J; ``tail_misfit``
     is the relative least-squares misfit, which measures how far the prefix
     is from an exact finite splitting.
+
+    An (N, T) block splits T prefixes at once: g is (N, T), b is (J, T)
+    and residual and tail_misfit hold one value per column.
     """
     alpha = np.asarray(alpha, dtype=complex)
     if N is None:
         N = len(alpha)
-    alpha = alpha[:N]
+    if len(alpha) < N:
+        raise ValueError(f"alpha has shape {alpha.shape}; need at least N = {N} rows")
     J = cfg.J
     n0 = max(2 * J + 2, N // 4)
     if n0 >= N - J:
         raise ValueError("prefix too short for the tail window")
+    cols = np.column_stack([_kernel_columns(cfg, weights, N),
+                            alpha[:N].reshape(N, -1)])
+    kappa, block = cols[:, :J], cols[:, J:]
 
-    kappa = np.stack([
-        np.conj(eval_f_prefix(N, z, cfg, weights)) for z in cfg.roots
-    ], axis=1)
-    modes = np.stack([
-        bp_apply(kappa[:, j], cfg, weights) for j in range(J)
-    ], axis=1)
-    quotient = bp_apply(alpha, cfg, weights)
-    H = modes[n0:]
-    y = quotient[n0:]
-    b, *_ = np.linalg.lstsq(H, y, rcond=None)
-    misfit = float(np.linalg.norm(y - H @ b) / max(np.linalg.norm(y), 1e-300))
+    modes_quotient = bp_apply(cols, cfg, weights)
+    H, Y = modes_quotient[n0:, :J], modes_quotient[n0:, J:]
+    b, *_ = np.linalg.lstsq(H, Y, rcond=None)
+    misfit = (np.linalg.norm(Y - H @ b, axis=0)
+              / np.maximum(np.linalg.norm(Y, axis=0), 1e-300))
+    g = bp_apply(block - kappa @ b, cfg, weights)
 
-    corrected = alpha - kappa @ b
-    g = bp_apply(corrected, cfg, weights)
-
-    t_input = h2_coeffs(alpha, cfg, weights)
-    _, t_model = reconstruct(g, b, cfg, weights, N)
-    residual = float(np.max(np.abs(t_input[: N - J] - t_model[: N - J])))
+    # Taylor coefficients of the input and of phi*g + sum_j b_j K(., z_j)
+    t = h2_coeffs(cols, cfg, weights)
+    t_model = BasisBand(cfg, None, N).matvec(g) + t[:, :J] @ b
+    residual = np.max(np.abs(t[: N - J, J:] - t_model[: N - J]), axis=0)
+    if alpha.ndim == 1:
+        return Decomposition(g[:, 0], b[:, 0], float(residual[0]), float(misfit[0]))
     return Decomposition(g, b, residual, misfit)
 
 
@@ -150,21 +158,19 @@ def reconstruct(g, b, cfg: BoundaryConfig, weights: WeightSequence,
     """Taylor and basis coefficients of phi * g + sum_j b_j K(., z_j).
 
     Returns (alpha, taylor); alpha comes from banded forward substitution
-    of the Taylor prefix against the unit-diagonal basis matrix.
+    of the Taylor prefix against the unit-diagonal basis matrix.  Columns
+    of g (deg+1, T) and b (J, T) give T elements at once, as (N, T) arrays.
     """
     g = np.asarray(g, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    beta = beta_coefficients(cfg)
-    taylor = np.zeros(N, dtype=complex)
-    conv = np.convolve(beta, g)[:N]
-    taylor[: len(conv)] += conv
-    for j, z in enumerate(cfg.roots):
-        if b[j] == 0:
-            continue
-        kappa = np.conj(eval_f_prefix(N, z, cfg, weights))
-        taylor += b[j] * h2_coeffs(kappa, cfg, weights)
-    alpha = taylor_to_basis(taylor, cfg, weights)
-    return alpha, taylor
+    if b.shape[:1] != (cfg.J,) or g.shape[1:] != b.shape[1:]:
+        raise ValueError(f"g has shape {g.shape} and b {b.shape}; "
+                         f"b needs J = {cfg.J} rows and the columns of g")
+    g_head = np.zeros((N,) + g.shape[1:], dtype=complex)
+    g_head[: len(g)] = g[:N]
+    kernel_taylor = h2_coeffs(_kernel_columns(cfg, weights, N), cfg, weights)
+    taylor = BasisBand(cfg, None, N).matvec(g_head) + kernel_taylor @ b
+    return taylor_to_basis(taylor, cfg, weights), taylor
 
 
 def taylor_to_basis(taylor, cfg: BoundaryConfig,
@@ -178,11 +184,7 @@ def measure_q_bound(cfg: BoundaryConfig, weights: WeightSequence) -> float:
     """Measured constant c with |Q_n(a_m)| <= c (1 - a_m) over the sampled
     index grid; finite because every Q_n vanishes at 1 with uniformly
     bounded coefficients."""
-    worst = 0.0
-    for n in _Q_N_RANGE:
-        q = q_polynomial(n, cfg)
-        for m in _Q_M_RANGE:
-            am = weights.a(m)
-            ratio = abs(complex(q(am))) / abs(weights.one_minus_a(m))
-            worst = max(worst, ratio)
-    return worst
+    ms = np.array(_Q_M_RANGE)
+    vander = np.asarray(weights.a(ms)) ** np.arange(cfg.J + 1)[:, None]
+    values = q_coefficients(_Q_N_RANGE, cfg) @ vander
+    return float(np.max(np.abs(values) / np.abs(weights.one_minus_a(ms))))

@@ -11,6 +11,7 @@ import pytest
 from bandkern import (
     BasisBand,
     BoundaryConfig,
+    Poly,
     WeightSequence,
     beta_coefficients,
     c_column,
@@ -27,7 +28,7 @@ from bandkern import (
     mz_norm_report,
     nu0_expansion,
     product_norm,
-    q_polynomial,
+    q_coefficients,
     reconstruct,
     starting_vector,
     triangular_solve_oracle,
@@ -104,7 +105,8 @@ def test_criterion_04_combinatorial_identities():
                     beta[i] * homogeneous_symmetric(m - i, w)
                     for i in range(0, min(m, J) + 1))))
         for n in range(0, 2 * J + 1):
-            qs = [q_polynomial(n - i, cfg) for i in range(min(n, J) + 1)]
+            qs = [Poly(row) for row in q_coefficients(
+                [n - i for i in range(min(n, J) + 1)], cfg)]
             for _ in range(3):
                 x = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
                 s = sum(beta[i] * qs[i](x) for i in range(min(n, J) + 1))

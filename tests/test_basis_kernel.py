@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -75,6 +76,24 @@ def test_eval_f_prefix_start_offset(cfg_pm1, pow2):
     full = eval_f_prefix(20, 0.7, cfg_pm1, pow2)
     tail = eval_f_prefix(5, 0.7, cfg_pm1, pow2, start=15)
     assert_allclose(tail, full[15:], atol=1e-14)
+
+
+def test_eval_f_prefix_at_root_matches_mpmath():
+    # f_n(z_j) = z_j^n (1 - a_n) phi_j(a_n z_j) against 30 digits; z_j^n
+    # must not drift with n
+    cfg = BoundaryConfig.from_angles(["1/7", "2/5"])
+    weights = WeightSequence.harmonic(0.75, 2.0)
+    ns = (4095, 32767, 131071)
+    with mpmath.workdps(30):
+        roots = [mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
+                 for q in cfg.angles]
+        for j, z in enumerate(cfg.roots):
+            f = eval_f_prefix(ns[-1] + 1, z, cfg, weights)
+            for n in ns:
+                u = mpmath.mpf(0.75) / (n + 2)
+                true = roots[j] ** n * u * (1 - mpmath.conj(roots[1 - j])
+                                            * (1 - u) * roots[j])
+                assert abs(f[n] - complex(true)) <= 1e-14 * abs(complex(true))
 
 
 # --- kernel evaluation ---------------------------------------------------------

@@ -152,6 +152,30 @@ def test_determinism_byte_identical(tmp_path):
     assert csv1 == csv2
 
 
+def test_decomposition_run(tmp_path):
+    cfgp = write_config(
+        tmp_path, "dec.json",
+        experiment="decomposition",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        truncations=[256, 512],
+        tolerance=1e-6,
+        seed=42,
+        trials=4,
+    )
+    prefix = str(tmp_path / "dec_out")
+    assert run(cfgp, out=prefix) == 0
+    summary = read_summary(prefix)
+    validate_summary(summary)
+    assert summary["verdicts"]["roundtrip"] == "pass"
+    assert {"gram_cond", "q_bound_constant",
+            "max_roundtrip_error"} <= set(summary["measurements"])
+    lines = open(prefix + ".series.csv").read().splitlines()[1:]
+    cells = [(int(l.split(",")[1]), l.split(",")[2]) for l in lines]
+    assert cells == [(t, q) for t in range(4)
+                     for q in ("roundtrip_error", "taylor_residual")]
+
+
 def test_identities_run(tmp_path):
     cfgp = write_config(
         tmp_path, "ids.json",
@@ -166,6 +190,13 @@ def test_identities_run(tmp_path):
     summary = read_summary(prefix)
     assert summary["verdicts"]["identities"] == "pass"
     assert summary["measurements"]["max_louck_residual"] <= 1e-9
+    # each q_recursion row is the worst residual of its (config, n) cell,
+    # not the running maximum over every cell so far
+    lines = open(prefix + ".series.csv").read().splitlines()[1:]
+    q = [float(l.split(",")[3]) for l in lines
+         if l.split(",")[2].startswith("q_recursion_residual_cfg")]
+    assert q and max(q) == summary["measurements"]["max_q_recursion_residual"]
+    assert any(b < a for a, b in zip(q, q[1:]))
 
 
 def test_domain_run(tmp_path):

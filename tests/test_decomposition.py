@@ -16,11 +16,13 @@ from bandkern import (
     h2_coeffs,
     kernel_eval,
     partial_gram,
+    mu_weights,
     phi_from_roots,
-    q_polynomial,
+    q_coefficients,
     reconstruct,
     taylor_to_basis,
 )
+from bandkern.core import root_powers
 from bandkern.decomposition import measure_q_bound
 
 from conftest import random_rational_config
@@ -110,12 +112,41 @@ def test_p_polynomials_match_bp_columns():
             assert_allclose(col[k: N], expect[: N - k], atol=1e-12)
 
 
+def q_polynomial(n, cfg):
+    """Oracle for row n of q_coefficients: the per-n sum
+    Q_n(x) = sum_j (w_j^J / mu_j) phi(x / w_j) w_j^n as a Poly."""
+    phi = phi_from_roots(cfg)
+    acc = Poly([0.0])
+    for j, (z, mu) in enumerate(zip(cfg.roots, mu_weights(cfg))):
+        w_pow = complex(np.conj(root_powers(cfg, j, np.array([cfg.J + n]))[0]))
+        acc = acc + (w_pow / mu) * phi.scale_argument(z)
+    return acc
+
+
+def q_polys(ns, cfg):
+    """The rows of q_coefficients as Poly objects."""
+    return [Poly(row) for row in q_coefficients(ns, cfg)]
+
+
+def test_q_coefficients_match_per_n_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        cfg = random_rational_config(rng, J_max=6)
+        ns = np.arange(-2 * cfg.J - 3, 3 * cfg.J + 4)
+        table = q_coefficients(ns, cfg)
+        assert table.shape == (len(ns), cfg.J + 1)
+        for n, row in zip(ns, table):
+            oracle = q_polynomial(int(n), cfg).coeffs
+            assert np.max(np.abs(row[: len(oracle)] - oracle)) <= 1e-13
+            assert np.max(np.abs(row[len(oracle):]), initial=0.0) <= 1e-13
+
+
 def test_q_polynomial_single_root(cfg_one):
-    q0 = q_polynomial(0, cfg_one)
+    q0 = q_polys([0], cfg_one)[0]
     assert_allclose(q0.coeffs, [1.0, -1.0], atol=1e-14)
     # J=1: every Q_n is 1 - x
-    for n in (-3, -1, 5):
-        assert_allclose(q_polynomial(n, cfg_one).coeffs, [1.0, -1.0], atol=1e-14)
+    for q in q_polys([-3, -1, 5], cfg_one):
+        assert_allclose(q.coeffs, [1.0, -1.0], atol=1e-14)
 
 
 def test_q_recursion_random_configs():
@@ -125,7 +156,7 @@ def test_q_recursion_random_configs():
         beta = beta_coefficients(cfg)
         J = cfg.J
         for n in range(0, 2 * J + 1):
-            qs = [q_polynomial(n - i, cfg) for i in range(min(n, J) + 1)]
+            qs = q_polys([n - i for i in range(min(n, J) + 1)], cfg)
             for _ in range(10):
                 x = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
                 s = sum(beta[i] * qs[i](x) for i in range(min(n, J) + 1))
@@ -137,16 +168,15 @@ def test_q_vanishes_at_one():
     rng = np.random.default_rng(6)
     for _ in range(8):
         cfg = random_rational_config(rng, J_max=5)
-        for n in (-5, -1, 0, 3, 11):
-            assert abs(q_polynomial(n, cfg)(1.0)) <= 1e-12
+        for q in q_polys((-5, -1, 0, 3, 11), cfg):
+            assert abs(q(1.0)) <= 1e-12
 
 
 def test_q_bound_constant_finite(cfg_pm1, harm1):
     c = measure_q_bound(cfg_pm1, harm1)
     assert 0 < c < 50.0
     # the bound it certifies: |Q_n(a_m)| <= c (1 - a_m) on a fresh sample
-    for n in (-7, 2, 19):
-        q = q_polynomial(n, cfg_pm1)
+    for q in q_polys((-7, 2, 19), cfg_pm1):
         for m in (3, 33, 333):
             assert abs(q(harm1.a(m))) <= (c + 1e-9) * harm1.one_minus_a(m)
 
@@ -268,3 +298,37 @@ def test_roundtrip_random(p):
             assert np.max(np.abs(dec.b - b0)) <= 1e-6
             assert np.max(np.abs(dec.g[: deg + 1] - g0)) <= 1e-6
             assert np.max(np.abs(dec.g[deg + 1:])) <= 1e-6
+
+
+def test_block_matches_column_calls():
+    # T trials as columns give the T one-column results
+    rng = np.random.default_rng(13)
+    cfg = BoundaryConfig.from_angles(["1/8", "1/3", "17/24"])
+    weights = WeightSequence.harmonic(0.75, 2.0)
+    N, T = 512, 4
+    g0 = rng.standard_normal((9, T)) + 1j * rng.standard_normal((9, T))
+    b0 = rng.standard_normal((3, T)) + 1j * rng.standard_normal((3, T))
+    alpha, taylor = reconstruct(g0, b0, cfg, weights, N)
+    dec = decompose(alpha, cfg, weights)
+    assert alpha.shape == taylor.shape == dec.g.shape == (N, T)
+    assert dec.b.shape == (3, T)
+    for t in range(T):
+        alpha_t, taylor_t = reconstruct(g0[:, t], b0[:, t], cfg, weights, N)
+        dec_t = decompose(alpha_t, cfg, weights)
+        assert np.max(np.abs(alpha[:, t] - alpha_t)) <= 1e-12
+        assert np.max(np.abs(taylor[:, t] - taylor_t)) <= 1e-12
+        assert np.max(np.abs(dec.g[:, t] - dec_t.g)) <= 1e-12
+        assert np.max(np.abs(dec.b[:, t] - dec_t.b)) <= 1e-12
+        assert abs(dec.residual[t] - dec_t.residual) <= 1e-12
+        assert abs(dec.tail_misfit[t] - dec_t.tail_misfit) <= 1e-12
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+def test_reconstruct_rejects_wrong_loading_count(cfg_pm1, harm1, nb):
+    with pytest.raises(ValueError, match=r"b \(%d,\)" % nb):
+        reconstruct(np.ones(2), np.ones(nb), cfg_pm1, harm1, 64)
+
+
+def test_decompose_rejects_short_prefix(cfg_pm1, harm1):
+    with pytest.raises(ValueError, match=r"shape \(100,\)"):
+        decompose(np.ones(100), cfg_pm1, harm1, N=128)

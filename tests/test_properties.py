@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from bandkern import (
     BoundaryConfig,
+    Poly,
     WeightSequence,
     beta_coefficients,
     h2_coeffs,
     homogeneous_symmetric,
     kernel_eval,
     louck_power_sum,
-    q_polynomial,
+    q_coefficients,
     taylor_to_basis,
 )
 
@@ -52,7 +53,7 @@ def test_phi_annihilates_shifted_homogeneous_sums(nums, m):
        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
 def test_q_polynomials_vanish_at_one_and_stay_small(nums, n, x):
     cfg = cfg_from_nums(nums)
-    q = q_polynomial(n, cfg)
+    q = Poly(q_coefficients([n], cfg)[0])
     assert abs(q(1.0)) <= 1e-10
     assert abs(q(x)) <= 3.0 ** cfg.J * (cfg.J + 1) * 4  # coefficient-sum bound
 
