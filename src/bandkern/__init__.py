@@ -48,7 +48,6 @@ from .recursion import (
     product_norm,
     section_norm,
     starting_vector,
-    triangular_solve_oracle,
 )
 from .decomposition import (
     Decomposition,

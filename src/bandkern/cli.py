@@ -302,8 +302,9 @@ def _run_identities(ec: ExperimentConfig):
         J = cfg.J
         beta = beta_coefficients(cfg)
         h = homogeneous_symmetric(np.arange(-J, 3 * J + 1), cfg.conjugates)
+        louck = louck_power_sum(np.arange(3 * J + 1), cfg)
         for m in range(0, 3 * J + 1):     # h[J + k] holds h_k
-            r = abs(louck_power_sum(m, cfg) - h[m + 1])
+            r = abs(louck[m] - h[m + 1])
             worst_louck = max(worst_louck, r)
             rows.append((m, f"louck_residual_cfg{ci}", r))
             if m >= 1:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 TOL_UNIT = 1e-12      # |z_j| deviation from the unit circle
 TOL_SEP = 1e-9        # minimal pairwise root separation
@@ -269,9 +269,15 @@ class BasisBand:
         self.N, self.J = N, len(beta) - 1
 
     def matvec(self, x, trans: str = "N") -> np.ndarray:
-        """L x (trans "C": L^H x) for x of N rows (one or more columns),
-        one pass per diagonal."""
+        """L x (trans "C": L^H x) for x of N rows: one BLAS ?gbmv call for a
+        vector whose type holds the band's, else one pass per diagonal."""
         x = np.asarray(x)
+        if x.ndim == 1 and (np.iscomplexobj(self.ab) or not np.iscomplexobj(x)):
+            # ?gbmv needs N >= kl + 1, so a band longer than the matrix is cut
+            kl = min(self.J, self.N - 1)
+            gbmv = get_blas_funcs("gbmv", (self.ab, x))
+            return gbmv(self.N, self.N, kl, 0, 1.0, self.ab[: kl + 1], x,
+                        trans=2 if trans == "C" else 0)
         y = np.zeros(x.shape, dtype=np.result_type(self.ab, x))
         ab = self.ab if x.ndim == 1 else self.ab[:, :, None]
         for k in range(min(self.J, self.N - 1) + 1):
@@ -335,12 +341,16 @@ def mu_weights(cfg: BoundaryConfig) -> list:
     return out
 
 
-def louck_power_sum(m: int, cfg: BoundaryConfig) -> complex:
-    """sum_j w_j^m / mu_j; equals h_{m-J+1}(w_1..w_J) for m >= 0."""
-    if m < 0:
+def louck_power_sum(m, cfg: BoundaryConfig):
+    """sum_j w_j^m / mu_j for an integer m or an integer array of them;
+    equals h_{m-J+1}(w_1..w_J) for m >= 0.  The mu_j are formed once per
+    call."""
+    ms = np.asarray(m)
+    if np.any(ms < 0):
         raise ValueError("m must be nonnegative")
-    mus = mu_weights(cfg)
-    return complex(sum(w ** m / mu for w, mu in zip(cfg.conjugates, mus)))
+    w = np.asarray(cfg.conjugates)
+    out = np.sum(w ** ms[..., None] / np.asarray(mu_weights(cfg)), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,11 @@ _SUP_GRID = 64        # at this many equally spaced points
 
 def _shift(x: np.ndarray, k: int = 1) -> np.ndarray:
     """S x for k = 1 and S^T x for k = -1, S the shift one row down."""
-    y = np.roll(x, k)
-    y[slice(None, 1) if k == 1 else slice(-1, None)] = 0.0
+    y = np.empty_like(x)
+    if k == 1:
+        y[0], y[1:] = 0.0, x[:-1]
+    else:
+        y[-1], y[:-1] = 0.0, x[1:]
     return y
 
 

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     BasisBand,
@@ -49,46 +48,30 @@ _N_FIT = 64           # starting-vector decay is measured over n <= _N_FIT
 # columns of C
 # ---------------------------------------------------------------------------
 
+def _lhat_minus_l(beta: np.ndarray, u) -> np.ndarray:
+    """Rows 1..J of column n of Lhat - L, beta_k (1 - a_n^k) = beta_k (1 - a_n)
+    sum_{i<k} a_n^i, from u = 1 - a_n (a scalar, or an array with one row
+    per n) so that the difference beta_k - beta_k a_n^k never cancels."""
+    u = np.asarray(u)[..., None]
+    return beta[1:] * u * np.cumsum((1.0 - u) ** np.arange(len(beta) - 1),
+                                    axis=-1)
+
+
 def c_column(n: int, K_max: int, cfg: BoundaryConfig,
              weights: WeightSequence) -> np.ndarray:
     """Column prefix c_{n+k,n} for k = 0..K_max.
 
-    C e_n = e_n + L^-1 (Lhat - L) e_n, and column n of Lhat - L holds
-    beta_k (1 - a_n^k) = beta_k (1 - a_n) sum_{i<k} a_n^i, formed from
-    1 - a_n so that the difference beta_k - beta_k a_n^k never cancels.
+    C e_n = e_n + L^-1 (Lhat - L) e_n, the last term from _lhat_minus_l.
     """
     beta = beta_coefficients(cfg)
     J = len(beta) - 1
     if K_max < J:
         raise ValueError("K_max must be at least the bandwidth J")
-    u = weights.one_minus_a(n)
     rhs = np.zeros(K_max + 1, dtype=complex)
-    rhs[1: J + 1] = beta[1:] * u * np.cumsum((1.0 - u) ** np.arange(J))
+    rhs[1: J + 1] = _lhat_minus_l(beta, weights.one_minus_a(n))
     col = BasisBand(cfg, weights, K_max + 1, start=n).solve(rhs, overwrite_b=True)
     col[0] = 1.0
     return col
-
-
-def triangular_solve_oracle(N: int, cfg: BoundaryConfig,
-                            weights: WeightSequence) -> np.ndarray:
-    """Solve Lhat = L C directly by dense forward substitution.
-
-    Independent of BasisBand: both dense matrices are built here entry by
-    entry and scipy's triangular solver does the rest, so a band bug cannot
-    hide in both routes at once.
-    """
-    beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    if N < J + 1:
-        raise ValueError("section too small for the bandwidth")
-    a = np.asarray(weights.prefix(N), dtype=complex)
-    L = np.zeros((N, N), dtype=complex)
-    Lhat = np.zeros((N, N), dtype=complex)
-    for k in range(J + 1):
-        n = np.arange(0, N - k)
-        L[n + k, n] = beta[k] * a[n] ** k
-        Lhat[n + k, n] = beta[k]
-    return solve_triangular(L, Lhat, lower=True, unit_diagonal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +213,10 @@ class NormEstimate:
 def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     """Spectral norm of the N x N operator A given by x -> A x and y -> A^H y.
 
-    Lanczos bidiagonalization (Golub & Kahan) through ARPACK, run to machine
-    precision from a fixed start vector so that repeated runs agree to the
-    bit.  ARPACK needs N >= 3 and a nonzero A; smaller sections are built
-    from N products and decomposed densely.
+    scipy's svds with ARPACK, which runs the Lanczos iteration (Arnoldi for
+    a complex A) on A^H A, to machine precision from a fixed start vector so
+    that repeated runs agree to the bit.  ARPACK needs N >= 3 and a nonzero
+    A; smaller sections are built from N products and decomposed densely.
     """
     if N < 3:
         A = np.column_stack([matvec(e) for e in np.eye(N, dtype=dtype)])
@@ -315,44 +298,76 @@ def decay_rate_samples(cfg: BoundaryConfig,
 def _column_norms(L: BasisBand, Lhat: BasisBand) -> tuple:
     """Norms ||C_N e_a|| of every column a < N of C = L^-1 Lhat without
     forming C, and the cancellation factor
-    max_a sum_{m,m'} |beta_m beta_m' G[m][m']| / ||C_N e_a||^2.
+    max_a sum_{m,m'} |beta_m beta_m' G_a[m, m']| / ||C_N e_a||^2.
 
     v_b = L^-1 e_b obeys v_b = e_b - sum_{m=1..J} L[b+m, b] v_{b+m} with e_b
-    orthogonal to every v_{b+m}, so the Gram window G[i][j] =
-    <v_{b+i}, v_{b+j}> advances backward from b = N-1 in O(J^2) work
-    (selected inversion of (L L^H)^-1; Takahashi, Fagan & Chen 1973), and
-    column a of C is sum_m beta_m v_{a+m}.  The window is kept exactly
-    Hermitian, with a real diagonal and the lower triangle conjugate to the
-    new row: on non-Hermitian windows the map has a growing mode, which the
-    rounding in the imaginary part of the diagonal would excite.  The
-    cancellation factor grows about like N, as ||v_b||^2 does.
+    orthogonal to every v_{b+m}, so the Gram window G_b[i, j] =
+    <v_{b+i}, v_{b+j}> (i, j <= J) obeys G_b = T_b^H G_{b+1} T_b + E_00,
+    with G_N = 0, T_b the matrix with column 0 (-L[b+1, b], ..., -L[b+J, b],
+    0) and column i equal to e_{i-1}, and E_00 the unit at (0, 0)
+    (selected inversion of (L L^H)^-1; Takahashi, Fagan & Chen 1973).
+    Column a of C is sum_m beta_m v_{a+m}, so ||C_N e_a||^2 =
+    beta^H G_a beta.
+
+    The recursion is affine, so it runs as a blocked two-pass scan (Kogge &
+    Stone 1973; Blelloch 1990) with blocks of s = ceil(sqrt(N)) steps.  Over
+    a block it composes to G_b = A^H G_{b+s} A + Q, A = T_{b+s-1} ... T_b and
+    Q = sum_k a_k^H a_k, a_k row 0 of T_{b+k-1} ... T_b.  The (A, Q) of all
+    blocks accumulate at once; the block end states follow in sequence; a
+    last pass steps backward inside all blocks at once.  The short block
+    comes first, its steps before b = 0 fed zero band entries and their
+    windows dropped; its (A, Q) is never needed.  Every window is kept
+    exactly Hermitian, with a real diagonal: on non-Hermitian windows the
+    map has a growing mode, which the rounding in the imaginary part of the
+    diagonal would excite.  The cancellation factor grows about like N, as
+    ||v_b||^2 does.  O(N J^2) work in O(sqrt(N)) numpy steps.
     """
-    J, inner = L.J, range(1, L.J + 1)
-    band = L.ab.T.tolist()             # band[b] = [1, L[b+1, b], ..., L[b+J, b]]
-    beta = Lhat.ab[:, 0].tolist()
-    # the form over the upper triangle of the Hermitian window, off-diagonal
-    # terms counted twice
-    upper = [(i, j, (1 if i == j else 2) * beta[i].conjugate() * beta[j])
-             for i in range(J + 1) for j in range(i, J + 1)]
-    G = [[0.0] * (J + 1) for _ in range(J + 1)]   # v_b = 0 for b >= N
-    sq, cancellation = [0.0] * L.N, 0.0
-    for b in range(L.N - 1, -1, -1):
-        lb = band[b]
-        row = [0.0] * (J + 1)
-        for k in inner:
-            s = 0.0
-            for m in inner:
-                s -= lb[m].conjugate() * G[m - 1][k - 1]
-            row[k] = s
-        d = 1.0
-        for m in inner:
-            d -= lb[m] * row[m]
-        row[0] = d.real
-        G = [row] + [[row[i].conjugate()] + G[i - 1][:J] for i in inner]
-        terms = [w * G[i][j] for i, j, w in upper]
-        sq[b] = sum(terms).real
-        cancellation = max(cancellation, sum(map(abs, terms)) / sq[b])
-    return np.sqrt(sq), cancellation
+    N, J = L.N, L.J
+    s = math.isqrt(N - 1) + 1
+    nb = -(-N // s)
+    pad = nb * s - N
+    dtype = np.result_type(L.ab, Lhat.ab)
+    # t[k, :, c] = column 0 of T_b without its last entry, b = c s + k - pad;
+    # the steps b < 0 are zero.  The block index runs last, so that every
+    # step is a pass over contiguous rows.
+    t = np.zeros((J, nb * s), dtype)
+    t[:, pad:] = -L.ab[1:]
+    t = np.ascontiguousarray(t.reshape(J, nb, s).transpose(2, 0, 1))
+
+    # accumulate A and Q of blocks 1..nb-1 (A[i, j, c] is entry (i, j) of
+    # block c + 1)
+    A = np.zeros((J + 1, J + 1, nb - 1), dtype)
+    A[range(J + 1), range(J + 1)] = 1.0
+    Q = np.zeros_like(A)
+    for k in range(s):
+        a = A[0]
+        Q += a.conj()[:, None] * a
+        A[:J] = A[1:] + t[k, :, None, 1:] * a
+        A[J] = 0.0
+    # the windows G_{b+s} at the end of each block, from G_N = 0
+    W = np.zeros((J + 1, J + 1, nb), dtype)
+    for c in range(nb - 1, 0, -1):
+        Ac = A[:, :, c - 1]
+        G = Ac.conj().T @ W[:, :, c] @ Ac + Q[:, :, c - 1]
+        W[:, :, c - 1] = 0.5 * (G + G.conj().T)
+    # step backward inside all blocks
+    weight = np.outer(Lhat.ab[:, 0].conj(), Lhat.ab[:, 0])[:, :, None]
+    sq = np.empty((s, nb))
+    cancel = np.empty((s, nb))
+    G = np.empty_like(W)
+    for k in range(s - 1, -1, -1):
+        tk = t[k]
+        row = np.sum(tk.conj()[:, None] * W[:J, :J], axis=0)
+        G[0, 0] = (1.0 + np.sum(tk * row, axis=0)).real
+        G[0, 1:] = row
+        G[1:, 0] = row.conj()
+        G[1:, 1:] = W[:J, :J]
+        W, G = G, W
+        terms = weight * W
+        sq[k] = terms.sum(axis=(0, 1)).real
+        cancel[k] = np.abs(terms).sum(axis=(0, 1))
+    sq, cancel = sq.T.ravel()[pad:], cancel.T.ravel()[pad:]
+    return np.sqrt(sq), float(np.max(cancel / sq))
 
 
 def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
@@ -441,10 +456,17 @@ def fit_starting_decay(cfg: BoundaryConfig,
     if not weights.rate_hypothesis:
         raise ValueError("decay fit requires n (1 - a_n) -> p weights")
     J, p = cfg.J, weights.p
-    measured = max(
-        float(np.linalg.norm(starting_vector(n, cfg, weights))) * (n + J) / p
-        for n in range(J + 1, _N_FIT + 1)
-    )
+    # every v_{n+J,n}, J < n <= _N_FIT, from one multi-column solve: column
+    # n's right-hand side is c_column's, placed at rows n+1..n+J
+    n = np.arange(J + 1, _N_FIT + 1)
+    rows = n[:, None] + np.arange(1, J + 1)
+    cols = np.arange(len(n))[:, None]
+    rhs = np.zeros((_N_FIT + J + 1, len(n)), dtype=complex)
+    rhs[rows, cols] = _lhat_minus_l(beta_coefficients(cfg),
+                                    weights.one_minus_a(n))
+    v = BasisBand(cfg, weights, _N_FIT + J + 1).solve(rhs, overwrite_b=True)
+    measured = float(np.max(
+        np.linalg.norm(v[rows, cols], axis=1) * (n + J) / p))
     lam = np.linalg.norm(starting_alpha_limit(cfg))
     asym = float(lam) * weights.decay_factor_sup(_N_FIT + 1, J)
     return StartingDecayFit(max(measured, asym), measured, asym)

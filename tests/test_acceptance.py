@@ -31,11 +31,14 @@ from bandkern import (
     q_coefficients,
     reconstruct,
     starting_vector,
-    triangular_solve_oracle,
 )
 from bandkern.multiplier import constant_sup_error
 
-from conftest import dense_basis_matrix, random_rational_config
+from conftest import (
+    dense_basis_matrix,
+    random_rational_config,
+    triangular_solve_oracle,
+)
 
 
 def report(num, text, ok):

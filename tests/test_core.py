@@ -155,6 +155,18 @@ def test_louck_examples(cfg_one, cfg_pm1):
     assert abs(louck_power_sum(0, cfg_one) - 1.0) <= 1e-15
 
 
+def test_louck_array_form_matches_scalar_form_exactly():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        cfg = random_rational_config(rng, J_max=6)
+        ms = np.arange(3 * cfg.J + 1)
+        table = louck_power_sum(ms, cfg)
+        assert table.shape == ms.shape
+        assert [louck_power_sum(int(m), cfg) for m in ms] == list(table)
+    with pytest.raises(ValueError):
+        louck_power_sum(np.array([0, -1]), cfg)
+
+
 def test_louck_identity_random_configs():
     rng = np.random.default_rng(9)
     for _ in range(25):

@@ -92,20 +92,35 @@ def test_mz_routes_match_dense_oracle():
         assert rel_err(col, ref[:, n]) <= ORACLE_RTOL
 
 
-def test_basis_band_products_and_adjoints_match_dense_oracle():
+def test_basis_band_products_and_adjoints_match_dense_oracle(cfg_pm1):
     # L x, L^H y and L^H x = b against an entrywise L, down to N below J + 1
+    # (where ?gbmv takes a shortened band), on complex and real vectors
+    def check(cfg, weights, N, rng):
+        L, ref = BasisBand(cfg, weights, N), dense_basis_matrix(N, cfg, weights)
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        for v in (x, x.real):
+            assert rel_err(L.matvec(v), ref @ v) <= ORACLE_RTOL
+            assert rel_err(L.matvec(v, trans="C"), ref.conj().T @ v) <= ORACLE_RTOL
+        adj = solve_triangular(ref.conj().T, x, lower=False,
+                               unit_diagonal=True)
+        assert rel_err(L.solve(x, trans="C"), adj) <= ORACLE_RTOL
+
     rng = np.random.default_rng(25)
     for _ in range(8):
         cfg = random_rational_config(rng, J_max=4)
         weights = random_weights(rng)
         for N in (1, 2, cfg.J, 96):
-            L, ref = BasisBand(cfg, weights, N), dense_basis_matrix(N, cfg, weights)
-            x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            assert rel_err(L.matvec(x), ref @ x) <= ORACLE_RTOL
-            assert rel_err(L.matvec(x, trans="C"), ref.conj().T @ x) <= ORACLE_RTOL
-            adj = solve_triangular(ref.conj().T, x, lower=False,
-                                   unit_diagonal=True)
-            assert rel_err(L.solve(x, trans="C"), adj) <= ORACLE_RTOL
+            check(cfg, weights, N, rng)
+    # N = J + 1, the smallest section holding the whole band; the roots +-1
+    # give a real band, applied to complex vectors as well as real ones
+    rng = np.random.default_rng(26)
+    for _ in range(8):
+        cfg = random_rational_config(rng, J_max=4)
+        check(cfg, random_weights(rng), cfg.J + 1, rng)
+    weights = random_weights(rng)
+    assert BasisBand(cfg_pm1, weights, 8).ab.dtype == np.float64
+    for N in (1, 2, 3, 96):
+        check(cfg_pm1, weights, N, rng)
 
 
 def test_sections_real_exactly_when_band_is(cfg_pm1, cfg_cube, harm1):

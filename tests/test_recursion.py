@@ -21,16 +21,22 @@ from bandkern import (
     nu0_expansion,
     product_norm,
     starting_vector,
-    triangular_solve_oracle,
 )
 from bandkern.recursion import (
+    _N_FIT,
+    _column_norms,
     _companion,
     decay_rate_samples,
     growth_verdict,
     starting_alpha_limit,
 )
 
-from conftest import dense_basis_matrix, random_rational_config
+from conftest import (
+    column_norms_loop,
+    dense_basis_matrix,
+    random_rational_config,
+    triangular_solve_oracle,
+)
 
 
 # --- column recursion -------------------------------------------------------
@@ -304,6 +310,24 @@ def test_column_norms_match_dense_oracle(angles):
             assert 1.0 <= rep.column_norm_cancellation <= 100.0 * N
 
 
+@pytest.mark.parametrize("angles", [["1/5", "2/5"], ["0", "1/12", "5/12", "2/3"]])
+@pytest.mark.parametrize("N", [64 ** 2, 64 ** 2 + 1, 2 ** 17, 2 ** 17 + 3])
+def test_column_norm_scan_matches_sequential_loop(angles, N):
+    # The blocked scan against the one-index-at-a-time Gram loop.  Blocks
+    # have ceil(sqrt(N)) steps: 64 divides 64^2, while 65, 363 and 363
+    # divide none of 64^2 + 1, 2^17 and 2^17 + 3.  The cancellation factor
+    # is how much rounding in the window entries is amplified in a squared
+    # column norm; the tolerance, fixed before the run, is 100 u times it.
+    cfg = BoundaryConfig.from_angles(angles)
+    L = BasisBand(cfg, WeightSequence.harmonic(1.0, 2.0), N)
+    Lhat = BasisBand(cfg, None, N)
+    ref, ref_cancellation = column_norms_loop(L, Lhat)
+    tol = 100 * np.finfo(float).eps / 2 * ref_cancellation
+    norms, cancellation = _column_norms(L, Lhat)
+    assert np.max(np.abs(norms - ref) / ref) <= tol
+    assert abs(cancellation - ref_cancellation) <= tol * ref_cancellation
+
+
 def test_norm_estimates_monotone(cfg_pm1, harm1):
     rep = containment_report(cfg_pm1, harm1, [128, 256, 512, 1024])
     vals = [e.value for e in rep.norm_estimates]
@@ -358,6 +382,21 @@ def test_fit_starting_decay_bounds_later_samples():
             for n in (128, 512, 2048, 10_000):
                 v = np.linalg.norm(starting_vector(n, cfg, weights))
                 assert v * (n + cfg.J) / weights.p <= fit.D1 * (1 + 1e-12)
+
+
+def test_fit_measured_max_matches_per_column_starting_vectors():
+    # the batched solve against one c_column solve per n
+    rng = np.random.default_rng(18)
+    weights = [WeightSequence.harmonic(0.75, 2.0), WeightSequence.power_law(1.0),
+               WeightSequence.from_table([0.5, 0.25 + 0.1j, 0.9, 0.3],
+                                         WeightSequence.harmonic(1.0, 2.0))]
+    for _ in range(6):
+        cfg = random_rational_config(rng, J_max=5)
+        for w in weights:
+            ref = max(np.linalg.norm(starting_vector(n, cfg, w)) * (n + cfg.J) / w.p
+                      for n in range(cfg.J + 1, _N_FIT + 1))
+            assert fit_starting_decay(cfg, w).measured_max == pytest.approx(
+                ref, rel=1e-14, abs=0)
 
 
 def test_fit_rejects_wrong_rate(cfg_pm1, pow2):
