@@ -196,6 +196,7 @@ def _run_containment(ec: ExperimentConfig):
         "plateau_rel": rep.plateau_rel,
         "verdict_reason": rep.verdict_reason,
         "norm_residual_max": max(e.residual for e in rep.norm_estimates),
+        "norm_steps_max": max(e.steps for e in rep.norm_estimates),
         "column_norm_cancellation": rep.column_norm_cancellation,
     }
     if rep.rate_measured is not None:
@@ -261,9 +262,10 @@ def _run_multiplier(ec: ExperimentConfig):
              for e in rep.shifted_norms]
     rows += [(int(c), "const_l2", float(v))
              for c, v in zip(exp.checkpoints, exp.partial_norms)]
+    estimates = rep.full_norms + rep.shifted_norms
     meas = {"constant_sup_error": sup_err,
-            "norm_residual_max": max(e.residual for e in
-                                     rep.full_norms + rep.shifted_norms)}
+            "norm_residual_max": max(e.residual for e in estimates),
+            "norm_steps_max": max(e.steps for e in estimates)}
     return {"mz_growth": rep.verdict, "constant_l2": exp.verdict}, meas, rows
 
 

@@ -22,6 +22,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import dstemr
 
 from .core import (
     BasisBand,
@@ -42,6 +44,7 @@ _RATE_MARGIN = 0.05    # decay-rate samples must clear 1/2 by this much
 _DECAY_SAMPLES = (2000, 8000, 32000, 128000)   # n of the decay-rate samples
 _MU_EPSILON = 1e-2    # max_j |z_j^mu - 1| of the limit-point exponent mu
 _N_FIT = 64           # starting-vector decay is measured over n <= _N_FIT
+_ROW_BLOCK = 32       # section_norm keeps its basis in blocks of this many rows
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +184,18 @@ def mu_search(cfg: BoundaryConfig, epsilon: float, cap: int = 10 ** 6) -> int:
 def product_norm(n: int, mu: int, cfg: BoundaryConfig, weights: WeightSequence,
                  conjugated: bool = False) -> float:
     """Spectral norm of M_{n+mu-1} ... M_n, optionally conjugated into the
-    eigenvector basis of the limit matrix (Mhat = X^{-1} M X)."""
+    eigenvector basis of the limit matrix: the product of the Mhat =
+    X^{-1} M X is X^{-1} (M_{n+mu-1} ... M_n) X, conjugated once."""
     if n <= cfg.J:
         raise ValueError("product requires n > J")
     J = cfg.J
-    basis = eigen_basis(cfg) if conjugated else None
     band = BasisBand(cfg, weights, mu + J - 1, start=n - J + 1)
     P = np.eye(J, dtype=complex)
     for m in range(mu):
-        M = _companion(band.ab[:, m: m + J])      # M_{n+m}
-        if basis is not None:
-            M = basis.Xinv @ M @ basis.X
-        P = M @ P
+        P = _companion(band.ab[:, m: m + J]) @ P      # M_{n+m} ... M_n
+    if conjugated:
+        basis = eigen_basis(cfg)
+        P = basis.Xinv @ P @ basis.X
     return float(np.linalg.norm(P, 2))
 
 
@@ -203,37 +206,110 @@ def product_norm(n: int, mu: int, cfg: BoundaryConfig, weights: WeightSequence,
 @dataclass(frozen=True)
 class NormEstimate:
     """Spectral norm of an N x N section with the residual ||A^H u - value v||
-    of its top singular triplet (u, value, v)."""
+    of its top singular triplet (u, value, v), and the number of
+    bidiagonalization steps (pairs of products x -> A x, y -> A^H y) taken."""
 
     truncation: int
     value: float
     residual: float
+    steps: int
+
+
+class _Rows:
+    """Orthonormal vectors of length N kept as the rows of blocks of at most
+    _ROW_BLOCK rows.  Blocks are allocated empty, so memory is committed only
+    for the rows written, and a new block never copies the old ones."""
+
+    def __init__(self, N: int, dtype):
+        self.shape, self.dtype = (min(N, _ROW_BLOCK), N), dtype
+        self.blocks, self.k = [], 0
+
+    def append(self, x: np.ndarray) -> None:
+        r = self.k % self.shape[0]
+        if r == 0:
+            self.blocks.append(np.empty(self.shape, self.dtype))
+        self.blocks[-1][r] = x
+        self.k += 1
+
+    def _filled(self):
+        m = self.shape[0]
+        for i, blk in enumerate(self.blocks):
+            yield blk[: min(m, self.k - i * m)]
+
+    def project_out(self, w: np.ndarray) -> np.ndarray:
+        """w - R^T conj(R) w, one Gram-Schmidt pass (classical within a
+        block), as two BLAS ?gemv calls per block that update w in place."""
+        gemv = get_blas_funcs("gemv", (w,))
+        for rows in self._filled():
+            h = gemv(1.0, rows.T, w, trans=2)
+            w = gemv(-1.0, rows.T, h, beta=1.0, y=w, overwrite_y=True)
+        return w
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """R^T c, the combination of the rows with coefficients c."""
+        m = self.shape[0]
+        return sum(c[i * m: i * m + len(rows)] @ rows
+                   for i, rows in enumerate(self._filled()))
 
 
 def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     """Spectral norm of the N x N operator A given by x -> A x and y -> A^H y.
 
-    scipy's svds with ARPACK, which runs the Lanczos iteration (Arnoldi for
-    a complex A) on A^H A, to machine precision from a fixed start vector so
-    that repeated runs agree to the bit.  ARPACK needs N >= 3 and a nonzero
-    A; smaller sections are built from N products and decomposed densely.
-    """
-    if N < 3:
-        A = np.column_stack([matvec(e) for e in np.eye(N, dtype=dtype)])
-        U, s, Vh = np.linalg.svd(A)
-    else:
-        from scipy.sparse.linalg import LinearOperator, svds
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from a fixed
+    start vector v_1, so that repeated runs agree to the bit: step k takes
+    alpha_k u_k = A v_k - beta_{k-1} u_{k-1} and beta_k v_{k+1} =
+    A^H u_k - alpha_k v_k, the latter orthogonalized once more against every
+    earlier v in one Gram-Schmidt pass (one-sided reorthogonalization;
+    Simon & Zha 2000).  With B_k upper bidiagonal (alpha
+    on the diagonal, beta above it), A^H A V_k = V_k B_k^T B_k + alpha_k
+    beta_k v_{k+1} e_k^T, so the top eigenpair (sigma^2, q) of the
+    tridiagonal B_k^T B_k (LAPACK dstemr) has Ritz residual alpha_k beta_k
+    |q_k| on A^H A.  The iteration stops when that is at most eps sigma^2
+    -- ARPACK's test at tol = 0 -- or when beta_k = 0 or k = N.  Only the
+    right vectors are kept (the left ones too would double the memory);
+    v = V_k q, u = A v / sigma takes one more product, and the residual
+    another.
 
-        op = LinearOperator((N, N), dtype=dtype,
-                            matvec=lambda x: matvec(np.ravel(x)),
-                            rmatvec=lambda y: rmatvec(np.ravel(y)))
-        v0 = np.random.default_rng(0).standard_normal(N)
-        if not np.any(matvec(v0)):   # A = 0 (almost surely), which ARPACK rejects
-            return NormEstimate(N, 0.0, 0.0)
-        U, s, Vh = svds(op, k=1, tol=0, v0=v0)
-    u, value, v = U[:, 0], float(s[0]), Vh[0].conj()
+    The sections taken here are built from bands with unit diagonal and the
+    isometric shift, so a product of a unit vector carries rounding of order
+    eps.  As in the usual numerical-rank cutoff, a top singular value of at
+    most N eps is that rounding, not a norm the products resolve, and is
+    returned as an exact 0; so is an A with A v_1 = 0 exactly.  matvec and
+    rmatvec return new arrays, which the iteration updates in place.
+    """
+    eps = np.finfo(float).eps
+    v = np.random.default_rng(0).standard_normal(N).astype(dtype)
+    v /= np.linalg.norm(v)
+    p = matvec(v)
+    if not np.any(p):
+        return NormEstimate(N, 0.0, 0.0, 0)
+    axpy = get_blas_funcs("axpy", (v, p))
+    V = _Rows(N, dtype)
+    d, e = [], []    # B_k^T B_k by diagonals; e[-1] = alpha_k beta_k
+    b = 0.0
+    while True:
+        a = math.sqrt(np.vdot(p, p).real)
+        u = p * (1.0 / a) if a else p
+        V.append(v)
+        d.append(a * a + b * b)
+        w = axpy(v, rmatvec(u), a=-a)
+        w = V.project_out(w)
+        b = math.sqrt(np.vdot(w, w).real)
+        e.append(a * b)
+        k = len(d)
+        _, theta, Z, _ = dstemr(np.array(d), np.array(e), 2, 0.0, 0.0, k, k)
+        q = Z[:, 0]
+        if e[-1] * abs(q[-1]) <= eps * theta[0] or b == 0.0 or k == N:
+            break
+        v = w * (1.0 / b)
+        p = axpy(u, matvec(v), a=-b)
+    value = math.sqrt(theta[0])
+    if value <= N * eps:
+        return NormEstimate(N, 0.0, 0.0, k)
+    v = V.combine(q)
+    u = matvec(v) / value
     residual = float(np.linalg.norm(rmatvec(u) - value * v))
-    return NormEstimate(N, value, residual)
+    return NormEstimate(N, value, residual, k)
 
 
 def growth_verdict(values: Sequence[float]) -> str:

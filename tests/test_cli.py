@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,8 +338,28 @@ def test_summary_reports_norm_residual(tmp_path, experiment):
     )
     prefix = str(tmp_path / "res_out")
     assert run(cfgp, out=prefix) == 0
-    residual = read_summary(prefix)["measurements"]["norm_residual_max"]
-    assert 0.0 <= residual <= 1e-10
+    measurements = read_summary(prefix)["measurements"]
+    assert 0.0 <= measurements["norm_residual_max"] <= 1e-10
+    assert 1 <= measurements["norm_steps_max"] <= 256
+
+
+def test_norm_runs_leave_scipy_sparse_unimported(tmp_path):
+    # section norms come from the package's own bidiagonalization, so a
+    # containment and a multiplier run never load scipy.sparse.linalg (its
+    # import time and memory would count in every norms run)
+    paths = [write_config(tmp_path, f"{e}.json",
+                          weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+                          experiment=e, truncations=[64, 128])
+             for e in ("containment", "multiplier")]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from bandkern.cli import run; "
+            "print([run(p, out=p[:-5]) for p in sys.argv[2:]], "
+            "'scipy.sparse.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src, *paths],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]
 
 
 def test_points_object_is_config_error(tmp_path):

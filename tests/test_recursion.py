@@ -20,6 +20,7 @@ from bandkern import (
     mz_norm_report,
     nu0_expansion,
     product_norm,
+    section_norm,
     starting_vector,
 )
 from bandkern.recursion import (
@@ -290,6 +291,97 @@ def test_section_norms_match_dense_svd(cfg_pm1, cfg_cube, harm1):
                 assert est.value == pytest.approx(np.linalg.norm(section, 2),
                                                   rel=1e-12)
                 assert est.residual <= 1e-10 * est.value
+
+
+def _dense_operator(A):
+    return (lambda x: A @ x), (lambda y: A.conj().T @ y)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_section_norm_repeated_top_singular_value(dtype):
+    # a diagonal operator whose top singular value 3 is taken twice: the
+    # Krylov space holds one copy, the stopping test still fires, and the
+    # value is exact to rounding.  Tolerances: value rtol 1e-13, residual
+    # <= 1e-12 value.
+    rng = np.random.default_rng(40)
+    d = rng.permutation(np.r_[3.0, 3.0, rng.uniform(0.0, 2.5, 198)])
+    if dtype is complex:
+        d = d * np.exp(2j * np.pi * rng.uniform(size=d.size))
+    est = section_norm(200, lambda x: d * x, lambda y: d.conj() * y, dtype)
+    assert est.value == pytest.approx(3.0, rel=1e-13)
+    assert est.residual <= 1e-12 * est.value
+    assert 1 <= est.steps <= 200
+
+
+def test_section_norm_rank_one():
+    # A = u v^H has the single singular value |u| |v|; the bidiagonalization
+    # finds it in at most two steps.  Tolerances: value rtol 1e-13,
+    # residual <= 1e-12 value.
+    rng = np.random.default_rng(41)
+    u, v = (rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300)))
+    est = section_norm(300, lambda x: u * (v.conj() @ x),
+                       lambda y: v * (u.conj() @ y), complex)
+    expect = np.linalg.norm(u) * np.linalg.norm(v)
+    assert est.value == pytest.approx(expect, rel=1e-13)
+    assert est.residual <= 1e-12 * est.value
+    assert est.steps <= 2
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_section_norm_smallest_sections(N):
+    # N = 1 and 2 run through the same bidiagonalization, which stops at
+    # k = N.  Tolerances: value rtol 1e-14, residual <= 1e-13 value.
+    rng = np.random.default_rng(42 + N)
+    for _ in range(20):
+        A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        est = section_norm(N, *_dense_operator(A), complex)
+        assert est.value == pytest.approx(np.linalg.norm(A, 2), rel=1e-14)
+        assert est.residual <= 1e-13 * est.value
+        assert est.steps <= N
+
+
+def test_section_norm_rounding_level_is_zero():
+    # the cutoff N eps: a section of norm eps / 2 is rounding and comes out
+    # as an exact 0, one of norm 100 N eps keeps its value (rtol 1e-13)
+    N, eps = 50, np.finfo(float).eps
+    d = np.linspace(0.1, 1.0, N)
+    for scale, expect in ((eps / 2, 0.0), (100 * N * eps, 100 * N * eps)):
+        est = section_norm(N, lambda x: scale * d * x,
+                           lambda y: scale * d * y, float)
+        assert est.value == pytest.approx(expect, rel=1e-13, abs=0)
+        if expect == 0.0:
+            assert est.residual == 0.0
+
+
+def test_section_norm_repeats_bit_for_bit(cfg_cube, harm1):
+    # a fixed start vector: two calls give the same estimate to the bit
+    L, Lhat = BasisBand(cfg_cube, harm1, 300), BasisBand(cfg_cube, None, 300)
+    ops = (lambda x: L.solve(Lhat.matvec(x)),
+           lambda y: Lhat.matvec(L.solve(y, trans="C"), trans="C"), complex)
+    assert section_norm(300, *ops) == section_norm(300, *ops)
+
+
+def test_section_norms_hard_spectrum():
+    # roots {0, 1/12, 5/12, 2/3} with harmonic p = 0.25: ||C_N|| still
+    # grows at N = 1024, so the top singular values of C, M_z and M_z - S
+    # crowd together.  Tolerances: rtol 1e-12 against dense SVDs, residual
+    # <= 1e-10 value.
+    cfg = BoundaryConfig.from_angles(["0", "1/12", "5/12", "2/3"])
+    weights = WeightSequence.harmonic(0.25, 2.0)
+    N = 1024
+    mz = mz_norm_report(cfg, weights, [N])
+    L = dense_basis_matrix(N, cfg, weights)
+    Z = solve_triangular(L, np.eye(N, k=-1) @ L, lower=True,
+                         unit_diagonal=True)
+    cases = [
+        (containment_report(cfg, weights, [N]).norm_estimates[0],
+         triangular_solve_oracle(N, cfg, weights)),
+        (mz.full_norms[0], Z),
+        (mz.shifted_norms[0], Z - np.eye(N, k=-1)),
+    ]
+    for est, section in cases:
+        assert est.value == pytest.approx(np.linalg.norm(section, 2), rel=1e-12)
+        assert est.residual <= 1e-10 * est.value
 
 
 @pytest.mark.parametrize("angles", [["1/5", "2/5"], ["0", "1/3", "2/3"],
