@@ -197,6 +197,7 @@ def _run_containment(ec: ExperimentConfig):
         "verdict_reason": rep.verdict_reason,
         "norm_residual_max": max(e.residual for e in rep.norm_estimates),
         "norm_steps_max": max(e.steps for e in rep.norm_estimates),
+        "norm_steps": {"norm_estimate": [e.steps for e in rep.norm_estimates]},
         "column_norm_cancellation": rep.column_norm_cancellation,
     }
     if rep.rate_measured is not None:
@@ -265,7 +266,10 @@ def _run_multiplier(ec: ExperimentConfig):
     estimates = rep.full_norms + rep.shifted_norms
     meas = {"constant_sup_error": sup_err,
             "norm_residual_max": max(e.residual for e in estimates),
-            "norm_steps_max": max(e.steps for e in estimates)}
+            "norm_steps_max": max(e.steps for e in estimates),
+            "norm_steps": {
+                "mz_norm": [e.steps for e in rep.full_norms],
+                "mz_norm_minus_shift": [e.steps for e in rep.shifted_norms]}}
     return {"mz_growth": rep.verdict, "constant_l2": exp.verdict}, meas, rows
 
 

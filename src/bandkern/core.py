@@ -12,6 +12,7 @@ products ``mu_j`` and the associated power-sum identity).
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,8 +248,10 @@ class BasisBand:
     Column m holds the J+1 coefficients beta_k a_n^k of f_n, n = start + m,
     at rows m..m+J; ``ab[k, m]`` is the entry on the k-th subdiagonal, which
     is LAPACK's lower-band storage.  With ``weights`` None every a_n is 1
-    and the band is Lhat, the coefficients of z^n phi(z).  A band whose
-    entries are all real is stored real.
+    and the band is Lhat, the coefficients of z^n phi(z), whose diagonals
+    are the constants beta_k.  A band whose entries are all real is stored
+    real.  The BLAS/LAPACK routines of the products and solves are looked
+    up once per vector type and band.
 
     Every coefficient route of the package is a solve or a product with
     such a band: C = L^-1 Lhat, M_z = L^-1 S L (S the shift), the constant
@@ -267,20 +270,52 @@ class BasisBand:
         for k, b in enumerate(beta):
             self.ab[k] = b * a ** k
         self.N, self.J = N, len(beta) - 1
+        self._diagonals = beta if weights is None else None
+        self._routines = {}
+
+    def _leading(self, N: int) -> "BasisBand":
+        """The leading N x N section, sharing this band's storage and bound
+        routines: the band of a leading section of a lower-triangular band
+        matrix is the band cut to its first N columns, and in F order
+        ``ab[:, :N]`` is contiguous LAPACK band storage."""
+        cut = copy.copy(self)
+        cut.ab, cut.N = self.ab[:, :N], N
+        return cut
+
+    def _routine(self, name: str, x: np.ndarray):
+        """The BLAS (LAPACK for tbtrs) routine for this band and arrays of
+        x's type."""
+        key = (name, x.dtype)
+        if key not in self._routines:
+            lookup = get_lapack_funcs if name == "tbtrs" else get_blas_funcs
+            self._routines[key] = lookup(name, (self.ab, x))
+        return self._routines[key]
 
     def matvec(self, x, trans: str = "N") -> np.ndarray:
-        """L x (trans "C": L^H x) for x of N rows: one BLAS ?gbmv call for a
-        vector whose type holds the band's, else one pass per diagonal."""
+        """L x (trans "C": L^H x) for x of N rows.  On a vector, Lhat is
+        beta_0 x plus J ?axpy calls over shifted slices, and L one BLAS
+        ?gbmv call when the vector's type holds the band's; otherwise one
+        pass per diagonal."""
         x = np.asarray(x)
+        kl = min(self.J, self.N - 1)     # a band longer than the matrix is cut
+        if x.ndim == 1 and self._diagonals is not None:
+            beta = self._diagonals.conj() if trans == "C" else self._diagonals
+            y = beta[0] * x
+            x = x.astype(y.dtype, copy=False)
+            axpy = self._routine("axpy", y)
+            for k in range(1, kl + 1):
+                if trans == "C":
+                    axpy(x, y, self.N - k, beta[k], offx=k)
+                else:
+                    axpy(x, y, self.N - k, beta[k], offy=k)
+            return y
         if x.ndim == 1 and (np.iscomplexobj(self.ab) or not np.iscomplexobj(x)):
-            # ?gbmv needs N >= kl + 1, so a band longer than the matrix is cut
-            kl = min(self.J, self.N - 1)
-            gbmv = get_blas_funcs("gbmv", (self.ab, x))
+            gbmv = self._routine("gbmv", x)      # it needs N >= kl + 1
             return gbmv(self.N, self.N, kl, 0, 1.0, self.ab[: kl + 1], x,
                         trans=2 if trans == "C" else 0)
         y = np.zeros(x.shape, dtype=np.result_type(self.ab, x))
         ab = self.ab if x.ndim == 1 else self.ab[:, :, None]
-        for k in range(min(self.J, self.N - 1) + 1):
+        for k in range(kl + 1):
             if trans == "C":
                 y[: self.N - k] += ab[k, : self.N - k].conj() * x[k:]
             else:
@@ -290,9 +325,9 @@ class BasisBand:
     def solve(self, b, overwrite_b: bool = False, trans: str = "N") -> np.ndarray:
         """x with L x = b (trans "C": L^H x = b; N rows, one or more
         columns) by substitution without pivoting (LAPACK ?tbtrs)."""
-        tbtrs = get_lapack_funcs("tbtrs", (self.ab, b))
-        x, info = tbtrs(self.ab, b, uplo="L", trans=trans, diag="U",
-                        overwrite_b=overwrite_b)
+        b = np.asarray(b)
+        x, info = self._routine("tbtrs", b)(self.ab, b, uplo="L", trans=trans,
+                                             diag="U", overwrite_b=overwrite_b)
         if info != 0:
             raise ValueError(f"?tbtrs rejected argument {-info}")
         return x

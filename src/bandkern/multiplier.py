@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BasisBand, BoundaryConfig, Poly, WeightSequence
-from .recursion import growth_verdict, section_norm
+from .recursion import _section_norm_ladder, growth_verdict
 
 _SUP_RADIUS = 0.9     # constant_sup_error checks the circle |z| = _SUP_RADIUS
 _SUP_GRID = 64        # at this many equally spaced points
@@ -105,16 +105,24 @@ def mz_norm_report(cfg: BoundaryConfig, weights: WeightSequence,
     """Truncated multiplication-matrix norms at dyadic sizes, both as-is and
     with the leading subdiagonal of ones removed (the shift part is an
     isometry and can mask growth of the remainder).  Both operators,
-    L^-1 S L and L^-1 S L - S, are applied matrix-free through the band."""
+    L^-1 S L and L^-1 S L - S, are applied matrix-free through the leading
+    sections of one band of L at the largest truncation, each as a ladder
+    warm-started from rung to rung (see section_norm)."""
     N_list = sorted(int(N) for N in N_list)
-    full, shifted = [], []
-    for N in N_list:
-        L = BasisBand(cfg, weights, N)
-        mz = (lambda x: _mz_apply(L, x),                        # M_z x and M_z^H y
-              lambda y: L.matvec(_shift(L.solve(y, trans="C"), -1), trans="C"))
-        full.append(section_norm(N, *mz, L.ab.dtype))
-        shifted.append(section_norm(N, lambda x: mz[0](x) - _shift(x),
-                                    lambda y: mz[1](y) - _shift(y, -1), L.ab.dtype))
+    L = BasisBand(cfg, weights, N_list[-1])
+
+    def mz(N):                                         # M_z x and M_z^H y
+        l = L._leading(N)
+        return (lambda x: _mz_apply(l, x),
+                lambda y: l.matvec(_shift(l.solve(y, trans="C"), -1), trans="C"))
+
+    def mz_minus_shift(N):
+        matvec, rmatvec = mz(N)
+        return (lambda x: matvec(x) - _shift(x),
+                lambda y: rmatvec(y) - _shift(y, -1))
+
+    full = _section_norm_ladder(N_list, mz, L.ab.dtype)
+    shifted = _section_norm_ladder(N_list, mz_minus_shift, L.ab.dtype)
     verdict = growth_verdict([e.value for e in full])
     return MultiplierNormReport(tuple(N_list), tuple(full), tuple(shifted), verdict)
 

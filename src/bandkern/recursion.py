@@ -218,10 +218,11 @@ class NormEstimate:
 class _Rows:
     """Orthonormal vectors of length N kept as the rows of blocks of at most
     _ROW_BLOCK rows.  Blocks are allocated empty, so memory is committed only
-    for the rows written, and a new block never copies the old ones."""
+    for the rows written, and a new block never copies the old ones.  gemv
+    is the BLAS ?gemv of the rows' type."""
 
-    def __init__(self, N: int, dtype):
-        self.shape, self.dtype = (min(N, _ROW_BLOCK), N), dtype
+    def __init__(self, N: int, dtype, gemv):
+        self.shape, self.dtype, self.gemv = (min(N, _ROW_BLOCK), N), dtype, gemv
         self.blocks, self.k = [], 0
 
     def append(self, x: np.ndarray) -> None:
@@ -239,10 +240,9 @@ class _Rows:
     def project_out(self, w: np.ndarray) -> np.ndarray:
         """w - R^T conj(R) w, one Gram-Schmidt pass (classical within a
         block), as two BLAS ?gemv calls per block that update w in place."""
-        gemv = get_blas_funcs("gemv", (w,))
         for rows in self._filled():
-            h = gemv(1.0, rows.T, w, trans=2)
-            w = gemv(-1.0, rows.T, h, beta=1.0, y=w, overwrite_y=True)
+            h = self.gemv(1.0, rows.T, w, trans=2)
+            w = self.gemv(-1.0, rows.T, h, beta=1.0, y=w, overwrite_y=True)
         return w
 
     def combine(self, c: np.ndarray) -> np.ndarray:
@@ -256,7 +256,8 @@ def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     """Spectral norm of the N x N operator A given by x -> A x and y -> A^H y.
 
     Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from a fixed
-    start vector v_1, so that repeated runs agree to the bit: step k takes
+    unit start vector v_1 (standard normal draws of seed 0), so that
+    repeated runs agree to the bit: step k takes
     alpha_k u_k = A v_k - beta_{k-1} u_{k-1} and beta_k v_{k+1} =
     A^H u_k - alpha_k v_k, the latter orthogonalized once more against every
     earlier v in one Gram-Schmidt pass (one-sided reorthogonalization;
@@ -270,6 +271,15 @@ def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     v = V_k q, u = A v / sigma takes one more product, and the residual
     another.
 
+    The ladders of containment_report and mz_norm_report take the leading
+    sections of one operator in increasing N and start each rung from v_1
+    with its first entries replaced by the right singular vector v of the
+    rung below, normalized.  The tail stays random rather than zero: when
+    the operator keeps index classes apart (roots +-1 give phi(z) = 1 - z^2,
+    so C maps even indices to even and odd to odd), a start vector zero on
+    one class never reaches it, and the rung would return the norm of the
+    other class.  A rung below that returned an exact 0 leaves v_1 as is.
+
     The sections taken here are built from bands with unit diagonal and the
     isometric shift, so a product of a unit vector carries rounding of order
     eps.  As in the usual numerical-rank cutoff, a top singular value of at
@@ -277,39 +287,68 @@ def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     returned as an exact 0; so is an A with A v_1 = 0 exactly.  matvec and
     rmatvec return new arrays, which the iteration updates in place.
     """
+    return _section_norm_ladder([N], lambda _: (matvec, rmatvec), dtype)[0]
+
+
+def _bidiagonalize(N: int, matvec, rmatvec, v: np.ndarray, blas) -> tuple:
+    """section_norm's iteration from the unit start vector v, with blas the
+    BLAS (?axpy, ?gemv) of v's type.  Returns the NormEstimate and the right
+    singular vector, None when the estimate is an exact 0."""
     eps = np.finfo(float).eps
-    v = np.random.default_rng(0).standard_normal(N).astype(dtype)
-    v /= np.linalg.norm(v)
+    axpy, gemv = blas
     p = matvec(v)
     if not np.any(p):
-        return NormEstimate(N, 0.0, 0.0, 0)
-    axpy = get_blas_funcs("axpy", (v, p))
-    V = _Rows(N, dtype)
-    d, e = [], []    # B_k^T B_k by diagonals; e[-1] = alpha_k beta_k
-    b = 0.0
+        return NormEstimate(N, 0.0, 0.0, 0), None
+    V = _Rows(N, v.dtype, gemv)
+    # B_k^T B_k by diagonals, e[k - 1] = alpha_k beta_k
+    d, e = np.empty(N), np.empty(N)
+    b, k = 0.0, 0
     while True:
         a = math.sqrt(np.vdot(p, p).real)
-        u = p * (1.0 / a) if a else p
+        if a:
+            p *= 1.0 / a
+        u = p
         V.append(v)
-        d.append(a * a + b * b)
-        w = axpy(v, rmatvec(u), a=-a)
-        w = V.project_out(w)
+        d[k] = a * a + b * b
+        w = V.project_out(axpy(v, rmatvec(u), a=-a))
         b = math.sqrt(np.vdot(w, w).real)
-        e.append(a * b)
-        k = len(d)
-        _, theta, Z, _ = dstemr(np.array(d), np.array(e), 2, 0.0, 0.0, k, k)
+        e[k] = a * b
+        k += 1
+        # dstemr overwrites its contiguous float64 arguments: pass copies
+        _, theta, Z, _ = dstemr(d[:k].copy(), e[:k].copy(), 2, 0.0, 0.0, k, k)
         q = Z[:, 0]
-        if e[-1] * abs(q[-1]) <= eps * theta[0] or b == 0.0 or k == N:
+        if e[k - 1] * abs(q[-1]) <= eps * theta[0] or b == 0.0 or k == N:
             break
-        v = w * (1.0 / b)
+        w *= 1.0 / b
+        v = w
         p = axpy(u, matvec(v), a=-b)
     value = math.sqrt(theta[0])
     if value <= N * eps:
-        return NormEstimate(N, 0.0, 0.0, k)
+        return NormEstimate(N, 0.0, 0.0, k), None
     v = V.combine(q)
     u = matvec(v) / value
     residual = float(np.linalg.norm(rmatvec(u) - value * v))
-    return NormEstimate(N, value, residual, k)
+    return NormEstimate(N, value, residual, k), v
+
+
+def _section_norm_ladder(N_list: Sequence[int], sections, dtype) -> list:
+    """section_norm of the leading N x N sections of one operator, N in the
+    increasing N_list, each rung warm-started from the rung below as
+    section_norm describes; sections(N) gives the (matvec, rmatvec) of
+    section N.  The random draws and the BLAS routines are taken once for
+    the ladder: the first N draws of the seed-0 stream are the N draws of
+    a fresh one."""
+    draws = np.random.default_rng(0).standard_normal(N_list[-1]).astype(dtype)
+    blas = get_blas_funcs(("axpy", "gemv"), dtype=dtype)
+    estimates, v = [], None
+    for N in N_list:
+        start = draws[:N] / np.linalg.norm(draws[:N])
+        if v is not None:
+            start[: len(v)] = v
+            start /= np.linalg.norm(start)
+        est, v = _bidiagonalize(N, *sections(N), start, blas)
+        estimates.append(est)
+    return estimates
 
 
 def growth_verdict(values: Sequence[float]) -> str:
@@ -450,7 +489,8 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
                        N_list: Sequence[int]) -> ContainmentReport:
     """Norm growth of truncations of C plus a boundedness verdict.  The
     section norms and the column norms of the largest section are taken on
-    the bands, in O(N J) memory.
+    the bands of L and Lhat at the largest truncation, in O(N J) memory;
+    the section norms are a ladder on their leading sections.
 
     The verdict first applies the plateau rule (last-doubling relative
     increase below _PLATEAU_TOL).  When truncated norms are still visibly
@@ -462,14 +502,16 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
     N_list = sorted(int(N) for N in N_list)
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("truncations must be strictly increasing")
-    estimates = []
-    for N in N_list:
-        L, Lhat = BasisBand(cfg, weights, N), BasisBand(cfg, None, N)
-        estimates.append(section_norm(
-            N, lambda x: L.solve(Lhat.matvec(x)),
-            lambda y: Lhat.matvec(L.solve(y, trans="C"), trans="C"),
-            np.result_type(L.ab, Lhat.ab)))
-    col_norms, cancellation = _column_norms(L, Lhat)     # at N_list[-1]
+    L, Lhat = BasisBand(cfg, weights, N_list[-1]), BasisBand(cfg, None, N_list[-1])
+
+    def sections(N):
+        l, lhat = L._leading(N), Lhat._leading(N)
+        return (lambda x: l.solve(lhat.matvec(x), overwrite_b=True),
+                lambda y: lhat.matvec(l.solve(y, trans="C"), trans="C"))
+
+    estimates = _section_norm_ladder(N_list, sections,
+                                     np.result_type(L.ab, Lhat.ab))
+    col_norms, cancellation = _column_norms(L, Lhat)
     values = [e.value for e in estimates]
     plateau_rel = (values[-1] - values[-2]) / values[-1] if len(values) > 1 else np.inf
 

@@ -343,6 +343,31 @@ def test_summary_reports_norm_residual(tmp_path, experiment):
     assert 1 <= measurements["norm_steps_max"] <= 256
 
 
+@pytest.mark.parametrize("experiment,ladders", [
+    ("containment", ["norm_estimate"]),
+    ("multiplier", ["mz_norm", "mz_norm_minus_shift"]),
+])
+def test_summary_reports_norm_steps_per_rung(tmp_path, experiment, ladders):
+    # one list of bidiagonalization steps per ladder, named by its series
+    # and aligned with the truncations; norm_steps_max is their maximum
+    truncations = [64, 128, 256]
+    cfgp = write_config(
+        tmp_path, "steps.json",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment=experiment,
+        truncations=truncations,
+    )
+    prefix = str(tmp_path / "steps_out")
+    assert run(cfgp, out=prefix) == 0
+    measurements = read_summary(prefix)["measurements"]
+    steps = measurements["norm_steps"]
+    assert sorted(steps) == sorted(ladders)
+    for ladder in ladders:
+        assert len(steps[ladder]) == len(truncations)
+        assert all(1 <= k <= N for k, N in zip(steps[ladder], truncations))
+    assert max(max(s) for s in steps.values()) == measurements["norm_steps_max"]
+
+
 def test_norm_runs_leave_scipy_sparse_unimported(tmp_path):
     # section norms come from the package's own bidiagonalization, so a
     # containment and a multiplier run never load scipy.sparse.linalg (its

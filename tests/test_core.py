@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bandkern import (
+    BasisBand,
     BoundaryConfig,
     ConfigurationError,
     Poly,
@@ -18,7 +19,12 @@ from bandkern import (
 )
 from bandkern.core import root_powers
 
-from conftest import e_bruteforce, h_bruteforce, random_rational_config
+from conftest import (
+    dense_basis_matrix,
+    e_bruteforce,
+    h_bruteforce,
+    random_rational_config,
+)
 
 
 # --- boundary configurations ------------------------------------------------
@@ -278,3 +284,61 @@ def test_cube_tail_bound():
     brute = float(np.sum(np.abs(w.one_minus_a(np.arange(2_000_000))[N:]) ** 3))
     bound = w.cube_tail_bound(N)
     assert brute <= bound <= brute * 1.2
+
+
+# --- the band of basis Taylor coefficients -----------------------------------
+
+def _vectors(rng, N, dtype):
+    """A vector and a block of three columns of N rows."""
+    x = rng.standard_normal((N, 4))
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal((N, 4))
+    return x[:, 0].copy(), x[:, 1:]
+
+
+@pytest.mark.parametrize("angles", [["0", "1/2"], ["0", "1/3", "2/3"]],
+                         ids=["real-band", "complex-band"])
+@pytest.mark.parametrize("weights", [None, WeightSequence.harmonic(1.0, 2.0)],
+                         ids=["Lhat", "L"])
+def test_leading_section_matches_band_built_at_its_size(angles, weights):
+    # The band cut to its first N' columns is the band of the leading
+    # N' x N' section: products and solves, with L and L^H, on vectors and
+    # blocks of either type, agree with a band built at N'.  N' runs through
+    # 1, J, J + 1 (where kl = min(J, N' - 1) is cut), N/2 and N.  Both sides
+    # do the same arithmetic on the same entries; tolerance rtol 1e-14.
+    cfg = BoundaryConfig.from_angles(angles)
+    N, J = 64, cfg.J
+    top = BasisBand(cfg, weights, N)
+    rng = np.random.default_rng(50)
+    for n in sorted({1, J, J + 1, N // 2, N}):
+        cut, fresh = top._leading(n), BasisBand(cfg, weights, n)
+        assert cut.N == n and cut.ab.shape == fresh.ab.shape
+        assert np.shares_memory(cut.ab, top.ab)
+        for dtype in (float, complex):
+            for x in _vectors(rng, n, dtype):
+                for trans in ("N", "C"):
+                    assert_allclose(cut.matvec(x, trans=trans),
+                                    fresh.matvec(x, trans=trans),
+                                    rtol=1e-14, atol=0)
+                    assert_allclose(cut.solve(x, trans=trans),
+                                    fresh.solve(x, trans=trans),
+                                    rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("angles", [["0", "1/2"], ["0", "1/3", "2/3"],
+                                    ["0", "1/12", "5/12", "2/3"]])
+def test_lhat_vector_product_matches_dense(angles):
+    # Lhat x and Lhat^H x on one vector run as beta_0 x plus J axpy calls;
+    # against the dense Lhat written entry by entry, for real and complex
+    # vectors and sections down to N = 1.  Tolerance: rtol 1e-14 in the
+    # 2-norm (the sums run in another order than the dense product's).
+    cfg = BoundaryConfig.from_angles(angles)
+    rng = np.random.default_rng(51)
+    for N in (1, 2, cfg.J, cfg.J + 1, 100):
+        A = dense_basis_matrix(N, cfg)
+        band = BasisBand(cfg, None, N)
+        for dtype in (float, complex):
+            x, _ = _vectors(rng, N, dtype)
+            for y, ref in ((band.matvec(x), A @ x),
+                           (band.matvec(x, trans="C"), A.conj().T @ x)):
+                assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)

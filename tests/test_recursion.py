@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,6 +383,120 @@ def test_section_norms_hard_spectrum():
     for est, section in cases:
         assert est.value == pytest.approx(np.linalg.norm(section, 2), rel=1e-12)
         assert est.residual <= 1e-10 * est.value
+
+
+def test_ladder_warm_start_reaches_every_residue_class():
+    # Roots +-1: phi(z) = 1 - z^2 has beta_1 = 0, so C keeps even and odd
+    # indices apart.  With a_n = 1/2 on the odd n in [32, 64) the top
+    # singular vector lies on the even class up to N = 32 and on the odd
+    # class at N = 64; a rung started from the vector below padded with
+    # zeros never reaches the odd class and returns 1.467028215681.
+    # Tolerances: rtol 1e-12 against a dense solve and SVD; the quoted
+    # values to 12 decimals (abs 6e-13).
+    cfg = BoundaryConfig.from_angles(["0", "1/2"])
+    harmonic = WeightSequence.harmonic(1.0, 2.0)
+    table = np.where((np.arange(64) % 2 == 1) & (np.arange(64) >= 32), 0.5,
+                     harmonic.prefix(64))
+    weights = WeightSequence.from_table(table, harmonic)
+    rep = containment_report(cfg, weights, [16, 32, 64])
+    C = solve_triangular(dense_basis_matrix(64, cfg, weights),
+                         dense_basis_matrix(64, cfg), lower=True,
+                         unit_diagonal=True)
+    quoted = [1.463528071912, 1.465913516477, 1.597320873582]
+    for est, expect in zip(rep.norm_estimates, quoted):
+        N = est.truncation
+        ref = np.linalg.norm(C[:N, :N], 2)
+        assert est.value == pytest.approx(ref, rel=1e-12)
+        assert ref == pytest.approx(expect, rel=0, abs=6e-13)
+
+
+def _down(x):
+    """S x, the shift one row down."""
+    return np.r_[np.zeros(1, x.dtype), x[:-1]]
+
+
+def _up(y):
+    """S^T y."""
+    return np.r_[y[1:], np.zeros(1, y.dtype)]
+
+
+def test_ladders_match_cold_section_norms():
+    # Warm-started ladders of C, M_z and M_z - S over random rational
+    # configs (J = 1..6, ladders up to 1024, N = 1 among them, where M_z
+    # and M_z - S are exact zeros and the next rung starts cold) against
+    # section_norm on bands built at each N.  Tolerances: rtol 1e-12 on the
+    # values, residual <= 1e-10 value.
+    rng = np.random.default_rng(60)
+    sizes = [1, 2, 3, 5, 8, 16, 64, 100, 256, 512, 1000, 1024]
+    rungs = set()
+    for J in range(1, 7):
+        cfg = BoundaryConfig.from_angles(
+            [Fraction(int(q), 24) for q in rng.choice(24, J, replace=False)])
+        p = float(rng.uniform(0.3, 2.0))
+        weights = (WeightSequence.harmonic(p, 2.0) if rng.integers(2)
+                   else WeightSequence.power_law(p + 0.5))
+        N_list = sorted(rng.choice(sizes, size=int(rng.integers(2, 6)),
+                                   replace=False).tolist())
+        rungs.update(N_list)
+        rep = containment_report(cfg, weights, N_list)
+        mz = mz_norm_report(cfg, weights, N_list)
+        for k, N in enumerate(N_list):
+            L, Lhat = BasisBand(cfg, weights, N), BasisBand(cfg, None, N)
+            dtype = np.result_type(L.ab, Lhat.ab)
+            c_ops = (lambda x: L.solve(Lhat.matvec(x)),
+                     lambda y: Lhat.matvec(L.solve(y, trans="C"), trans="C"))
+            mz_ops = (lambda x: L.solve(_down(L.matvec(x))),
+                      lambda y: L.matvec(_up(L.solve(y, trans="C")), trans="C"))
+            shifted_ops = (lambda x: mz_ops[0](x) - _down(x),
+                           lambda y: mz_ops[1](y) - _up(y))
+            for warm, ops, dt in ((rep.norm_estimates[k], c_ops, dtype),
+                                  (mz.full_norms[k], mz_ops, L.ab.dtype),
+                                  (mz.shifted_norms[k], shifted_ops, L.ab.dtype)):
+                cold = section_norm(N, *ops, dt)
+                assert warm.truncation == N
+                assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=0)
+                assert warm.residual <= 1e-10 * warm.value
+    assert {1, 1024} <= rungs
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("report", [containment_report, mz_norm_report],
+                         ids=["containment", "multiplier"])
+def test_ladders_bind_routines_and_build_bands_once(monkeypatch, report):
+    # BLAS/LAPACK lookups and band constructions of a ladder do not grow
+    # with its height or its number of rungs: each band is built once, at
+    # the top, and binds its routines once per vector type.  Roots +-1 with
+    # harmonic p = 0.25 never plateau, so every containment verdict takes
+    # the decay-rate route (a fixed number of product-norm bands).
+    import bandkern.core
+    import bandkern.recursion
+
+    cfg = BoundaryConfig.from_angles(["0", "1/2"])
+    weights = WeightSequence.harmonic(0.25, 2.0)
+    counts = {}
+    for module in (bandkern.core, bandkern.recursion):
+        for name in ("get_blas_funcs", "get_lapack_funcs"):
+            if hasattr(module, name):
+                _count_calls(monkeypatch, module, name, counts)
+    _count_calls(monkeypatch, BasisBand, "__init__", counts)
+    seen = {}
+    for top in (512, 2048):
+        for rungs in (2, 5):
+            counts.clear()
+            report(cfg, weights, [top >> k for k in range(rungs - 1, -1, -1)])
+            seen[top, rungs] = dict(counts)
+    first = seen[512, 2]
+    assert first["__init__"] >= 1 and first["get_blas_funcs"] >= 1
+    assert all(c == first for c in seen.values()), seen
 
 
 @pytest.mark.parametrize("angles", [["1/5", "2/5"], ["0", "1/3", "2/3"],
