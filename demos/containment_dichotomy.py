@@ -6,13 +6,7 @@ norms of its truncations keep growing when the weights converge too fast
 (p = 0) or too slowly (p < 1/2).
 """
 
-from bandkern import (
-    BasisBand,
-    BoundaryConfig,
-    WeightSequence,
-    containment_report,
-    section_norm,
-)
+from bandkern import BoundaryConfig, WeightSequence, containment_report
 
 cfg = BoundaryConfig.from_angles(["0", "1/2"])     # phi(z) = 1 - z^2
 N_list = [256, 512, 1024, 2048]
@@ -26,23 +20,11 @@ cases = [
 ]
 
 print(f"{'weights':18s} {'norms at ' + str(N_list):44s} verdict (reason)")
-reports = {}
 for label, weights in cases:
-    rep = reports[label] = containment_report(cfg, weights, N_list)
+    rep = containment_report(cfg, weights, N_list)
     norms = " ".join(f"{e.value:8.4f}" for e in rep.norm_estimates)
     extra = f", rate ~ {rep.rate_measured:.3f}" if rep.rate_measured is not None else ""
     print(f"{label:18s} {norms:44s} {rep.verdict} ({rep.verdict_reason}{extra})")
 
 print()
 print("the dichotomy threshold sits at decay rate 1/2")
-
-# Each rung of the ladder starts from the top singular vector of the rung
-# below; a cold start on the top section C = L^-1 Lhat gives the same norm.
-(label, weights), N = cases[1], N_list[-1]
-L, Lhat = BasisBand(cfg, weights, N), BasisBand(cfg, None, N)
-cold = section_norm(N, lambda x: L.solve(Lhat.matvec(x)),
-                    lambda y: Lhat.matvec(L.solve(y, trans="C"), trans="C"),
-                    L.ab.dtype)
-warm = reports[label].norm_estimates[-1]
-print(f"{label} at N={N}: ladder {warm.value:.12f} in {warm.steps} "
-      f"steps, cold start {cold.value:.12f} in {cold.steps} steps")

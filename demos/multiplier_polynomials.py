@@ -10,7 +10,6 @@ import numpy as np
 
 from bandkern import (
     BoundaryConfig,
-    Poly,
     WeightSequence,
     constant_expansion,
     mz_norm_report,
@@ -36,8 +35,8 @@ print("  sup |sum c_n f_n - 1| on |z| <= 0.9:",
       constant_sup_error(exp.coeffs, cfg, weights))
 
 print()
-for poly, name in [(Poly([1.0]), "1"), (Poly([0, 1]), "z"),
-                   (Poly([1, -1]), "phi")]:
-    mem = polynomial_membership(poly, 1024, cfg, weights)
+# polynomials as ascending coefficient arrays
+for coeffs, name in [([1.0], "1"), ([0, 1], "z"), ([1, -1], "phi")]:
+    mem = polynomial_membership(coeffs, 1024, cfg, weights)
     print(f"membership of {name:4s}: running l2 norm "
           f"{mem.partial_norms[-1]:.6f}, verdict {mem.verdict}")

@@ -7,6 +7,8 @@ behind every coefficient route (re-expansion, z-multiplication, the
 quotient encoding), the containment verdict with its companion-matrix
 products, the explicit splitting into phi * H^2 plus boundary kernel
 functions, and the z-multiplication operator with the expansion of 1.
+Polynomials (phi, the reduced phi_j, the boundary polynomials Q_n and the
+inputs of polynomial_membership) are ascending numpy coefficient arrays.
 """
 
 from .core import (
@@ -14,7 +16,6 @@ from .core import (
     BoundaryConfig,
     ConfigurationError,
     DomainError,
-    Poly,
     SearchFailureError,
     TruncationError,
     WeightSequence,
@@ -22,8 +23,6 @@ from .core import (
     homogeneous_symmetric,
     louck_power_sum,
     mu_weights,
-    phi_from_roots,
-    phi_reduced,
 )
 from .basis_kernel import (
     DomainReport,
@@ -46,7 +45,6 @@ from .recursion import (
     mu_search,
     nu0_expansion,
     product_norm,
-    section_norm,
     starting_vector,
 )
 from .decomposition import (

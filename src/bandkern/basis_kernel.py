@@ -16,17 +16,16 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core import (
     BasisBand,
     BoundaryConfig,
     DomainError,
-    Poly,
     TWO_PI,
     TruncationError,
     WeightSequence,
     beta_coefficients,
-    phi_from_roots,
     phase_powers,
     phi_reduced,
     root_powers,
@@ -88,7 +87,8 @@ def classify_point(z, cfg: BoundaryConfig) -> tuple:
 
 def eval_f_prefix(N: int, z, cfg: BoundaryConfig, weights: WeightSequence,
                   start: int = 0) -> np.ndarray:
-    """f_n(z) for n = start..start+N-1, vectorized.
+    """f_n(z) for n = start..start+N-1, vectorized, at any z of the closed
+    disk or a boundary root.
 
     At a boundary root the cancellation-free factorization
     f_n(z_j) = z_j^n * (1 - a_n) * phi_j(a_n z_j) is used, where phi_j drops
@@ -100,15 +100,15 @@ def eval_f_prefix(N: int, z, cfg: BoundaryConfig, weights: WeightSequence,
     a = weights.a(n)
     j = _special_index(z, cfg)
     if j is None:
-        return z ** n * _poly_at_scaled(phi_from_roots(cfg), z, a)
+        return z ** n * _poly_at_scaled(beta_coefficients(cfg), z, a)
     red = phi_reduced(cfg, j)
     one_minus = weights.one_minus_a(n)
     return root_powers(cfg, j, n) * one_minus * _poly_at_scaled(red, z, a)
 
 
-def _poly_at_scaled(poly: Poly, z: complex, a: np.ndarray) -> np.ndarray:
-    """poly(a * z) for an array of scalings a (Horner in a)."""
-    coeffs = poly.coeffs
+def _poly_at_scaled(coeffs: np.ndarray, z: complex, a: np.ndarray) -> np.ndarray:
+    """p(a * z) for the ascending coefficients of p and an array of
+    scalings a (Horner in a)."""
     acc = np.full(a.shape, coeffs[-1] * z ** (len(coeffs) - 1), dtype=complex)
     for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * a + coeffs[k] * z ** k
@@ -127,8 +127,8 @@ def _lipschitz_pair_bound(cfg: BoundaryConfig, i: int, j: int,
     """Lipschitz constant of a -> phi_i(a z_i) * conj(phi_j(a z_j)) near a = 1."""
     a_sup = weights.a_sup()
 
-    def sup_and_slope(poly):
-        c = np.abs(poly.coeffs)
+    def sup_and_slope(coeffs):
+        c = np.abs(coeffs)
         k = np.arange(len(c))
         return float(np.sum(c * a_sup ** k)), float(np.sum(k * c * a_sup ** k))
 
@@ -185,13 +185,18 @@ def kernel_eval(z, w, cfg: BoundaryConfig, weights: WeightSequence,
             raise TruncationError(f"interior kernel sum needs {N} terms")
         return N, c_sup ** 2 * r ** N / (1 - r), 0.0
 
-    def terms(n):
-        fz = eval_f_prefix(len(n), z, cfg, weights, start=n[0])
-        fw = fz if w == z else eval_f_prefix(len(n), w, cfg, weights, start=n[0])
-        return fz * np.conj(fw), _f_majorant(n, z, cfg, weights) * _f_majorant(
-            n, w, cfg, weights)
+    return _budgeted_sum(pick, lambda n: _pair_terms(n, z, w, cfg, weights),
+                         cfg.J, tol)
 
-    return _budgeted_sum(pick, terms, cfg.J, tol)
+
+def _pair_terms(n: np.ndarray, z: complex, w: complex, cfg: BoundaryConfig,
+                weights: WeightSequence) -> tuple:
+    """The summands f_n(z) conj(f_n(w)) of K(z, w) for the consecutive
+    indices n, and their majorants M_n(z) M_n(w)."""
+    fz = eval_f_prefix(len(n), z, cfg, weights, start=n[0])
+    fw = fz if w == z else eval_f_prefix(len(n), w, cfg, weights, start=n[0])
+    return fz * np.conj(fw), _f_majorant(n, z, cfg, weights) * _f_majorant(
+        n, w, cfg, weights)
 
 
 def _f_majorant(n: np.ndarray, z: complex, cfg: BoundaryConfig,
@@ -201,9 +206,9 @@ def _f_majorant(n: np.ndarray, z: complex, cfg: BoundaryConfig,
     a = np.abs(weights.a(n))
     j = _special_index(z, cfg)
     if j is None:
-        absphi = Poly(np.abs(phi_from_roots(cfg).coeffs))
+        absphi = np.abs(beta_coefficients(cfg))
         return abs(z) ** n * _poly_at_scaled(absphi, abs(z), a).real
-    absphi = Poly(np.abs(phi_reduced(cfg, j).coeffs))
+    absphi = np.abs(phi_reduced(cfg, j))
     return np.abs(weights.one_minus_a(n)) * _poly_at_scaled(absphi, 1.0, a).real
 
 
@@ -243,20 +248,6 @@ def _budgeted_sum(pick, terms_of, J: int, tol: float) -> KernelValue:
         allowance = rounding
 
 
-def _root_pair_terms(i: int, j: int, cfg: BoundaryConfig,
-                     weights: WeightSequence, n: np.ndarray,
-                     q: Optional[Fraction]) -> np.ndarray:
-    """The summands (1-a_n) conj(1-a_n) phi_i(a_n z_i) conj(phi_j(a_n z_j)) rho^n."""
-    zi, zj = cfg.roots[i], cfg.roots[j]
-    one_minus = weights.one_minus_a(n)
-    vi = _poly_at_scaled(phi_reduced(cfg, i), zi, weights.a(n))
-    vj = _poly_at_scaled(phi_reduced(cfg, j), zj, weights.a(n))
-    terms = one_minus * np.conj(one_minus) * vi * np.conj(vj)
-    if i != j:
-        terms = terms * phase_powers(q, np.angle(zi * np.conj(zj)), n)
-    return terms
-
-
 def _reduced_in_u(cfg: BoundaryConfig, i: int) -> np.ndarray:
     """Coefficients in u of phi_i((1 - u) z_i) = prod_{k != i} (1 - t_k + t_k u),
     t_k = conj(z_k) z_i."""
@@ -283,10 +274,8 @@ def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
     T = len(weights.values)
     value, rounding = 0.0j, 0.0
     if T:
-        n = np.arange(T)
-        head = _root_pair_terms(i, j, cfg, weights, n, q)
-        majorant = (_f_majorant(n, cfg.roots[i], cfg, weights)
-                    * _f_majorant(n, cfg.roots[j], cfg, weights))
+        head, majorant = _pair_terms(np.arange(T), cfg.roots[i], cfg.roots[j],
+                                     cfg, weights)
         value, rounding = complex(np.sum(head)), _sum_allowance(head, majorant, cfg.J)
     coeffs = np.convolve(_reduced_in_u(cfg, i), np.conj(_reduced_in_u(cfg, j)))
     S = weights.residue_power_sums(np.arange(len(coeffs)) + 2, d, T)
@@ -306,7 +295,8 @@ def _kernel_abel_pair(i: int, j: int, cfg: BoundaryConfig,
     estimate 4 |v_inf| u_N^2 / |1 - rho| of its constant part."""
     zi, zj = cfg.roots[i], cfg.roots[j]
     rho = zi * zj.conjugate()
-    v_inf = complex(phi_reduced(cfg, i)(zi)) * complex(phi_reduced(cfg, j)(zj)).conjugate()
+    v_inf = (polyval(zi, phi_reduced(cfg, i))
+             * np.conj(polyval(zj, phi_reduced(cfg, j))))
     lip = _lipschitz_pair_bound(cfg, i, j, weights)
 
     def pick(allowance):
@@ -320,11 +310,8 @@ def _kernel_abel_pair(i: int, j: int, cfg: BoundaryConfig,
             if N > _N_CAP:
                 raise TruncationError("no reachable truncation certifies the tolerance")
 
-    def terms(n):
-        return (_root_pair_terms(i, j, cfg, weights, n, None),
-                _f_majorant(n, zi, cfg, weights) * _f_majorant(n, zj, cfg, weights))
-
-    return _budgeted_sum(pick, terms, cfg.J, tol)
+    return _budgeted_sum(pick, lambda n: _pair_terms(n, zi, zj, cfg, weights),
+                         cfg.J, tol)
 
 
 @dataclass(frozen=True)
@@ -354,7 +341,7 @@ def domain_report(z, cfg: BoundaryConfig, weights: WeightSequence,
         m *= 2
     if n_checks[-1] != N:
         n_checks.append(N)
-    sq = np.abs(_f_values_any(N, z, cfg, weights)) ** 2
+    sq = np.abs(eval_f_prefix(N, z, cfg, weights)) ** 2
     csum = np.cumsum(sq)
     partial = csum[np.array(n_checks) - 1]
     verdict = INCONCLUSIVE
@@ -369,24 +356,10 @@ def domain_report(z, cfg: BoundaryConfig, weights: WeightSequence,
     return DomainReport(np.array(n_checks), partial, verdict)
 
 
-def _f_values_any(N: int, z: complex, cfg: BoundaryConfig,
-                  weights: WeightSequence) -> np.ndarray:
-    """f_n(z) for n < N at any point of the closed disk or a root."""
-    if _special_index(z, cfg) is not None or abs(z) < 1.0:
-        return eval_f_prefix(N, z, cfg, weights)
-    n = np.arange(N)
-    return z ** n * _poly_at_scaled(phi_from_roots(cfg), z, weights.a(n))
-
-
-def h2_coeffs(alpha, cfg: BoundaryConfig, weights: WeightSequence,
-              N: Optional[int] = None) -> np.ndarray:
+def h2_coeffs(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
     """Taylor coefficients of sum alpha_n f_n: the banded product L @ alpha.
 
     y_d = sum_{k=0..J} beta_k a_{d-k}^k alpha_{d-k}.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    if N is None:
-        N = len(alpha)
-    if len(alpha) < N:
-        raise ValueError("alpha shorter than requested prefix")
-    return BasisBand(cfg, weights, N).matvec(alpha[:N])
+    return BasisBand(cfg, weights, len(alpha)).matvec(alpha)

@@ -1,4 +1,4 @@
-"""Boundary configurations, weight sequences, polynomial arithmetic and the
+"""Boundary configurations, weight sequences, the coefficients of phi and the
 symmetric-function identities used throughout the package.
 
 Each space handled here is generated by an orthonormal basis
@@ -47,74 +47,6 @@ class SearchFailureError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.best_error = best_error
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-# ---------------------------------------------------------------------------
-
-class Poly:
-    """Dense complex polynomial, ascending-degree coefficients.
-
-    Trailing (near-)zero coefficients are trimmed on construction so that the
-    leading stored coefficient is nonzero; the zero polynomial keeps a single
-    zero coefficient and reports degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, trim: bool = True):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
-        if trim:
-            nz = np.nonzero(c)[0]
-            c = c[: nz[-1] + 1] if nz.size else c[:1] * 0.0
-        self.coeffs = c
-        self.coeffs.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        if self.coeffs.size == 1 and self.coeffs[0] == 0:
-            return -1
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        """Horner evaluation; broadcasts over array arguments."""
-        x = np.asarray(x, dtype=complex)
-        acc = np.full(x.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc if acc.shape else complex(acc)
-
-    def derivative(self) -> "Poly":
-        if self.coeffs.size <= 1:
-            return Poly([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Poly(self.coeffs[1:] * k)
-
-    def scale_argument(self, s) -> "Poly":
-        """Coefficients of p(s*x)."""
-        return Poly(self.coeffs * (complex(s) ** np.arange(self.coeffs.size)), trim=False)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(np.convolve(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * complex(other), trim=False)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if a.size < b.size:
-            a, b = b, a
-        out = a.copy()
-        out[: b.size] += b
-        return Poly(out)
-
-    def __sub__(self, other):
-        return self + (other * (-1.0))
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +148,23 @@ def root_powers(cfg: BoundaryConfig, j: int, exponents) -> np.ndarray:
     return phase_powers(q, np.angle(cfg.roots[j]), exponents)
 
 
-def phi_from_roots(cfg: BoundaryConfig) -> Poly:
-    """phi(z) = prod_j (1 - w_j z); constant term 1, degree exactly J."""
+def _linear_product(ws) -> np.ndarray:
+    """Ascending coefficients of prod_w (1 - w z), constant term 1."""
     coeffs = np.array([1.0 + 0j])
-    for w in cfg.conjugates:
-        coeffs = np.convolve(coeffs, np.array([1.0, -w]))
-    return Poly(coeffs, trim=False)
-
-
-def phi_reduced(cfg: BoundaryConfig, j: int) -> Poly:
-    """prod_{k != j} (1 - w_k z): phi with the j-th factor removed."""
-    coeffs = np.array([1.0 + 0j])
-    for k, w in enumerate(cfg.conjugates):
-        if k != j:
-            coeffs = np.convolve(coeffs, np.array([1.0, -w]))
-    return Poly(coeffs, trim=False)
+    for w in ws:
+        coeffs = np.convolve(coeffs, np.array([1.0, -complex(w)]))
+    return coeffs
 
 
 def beta_coefficients(cfg: BoundaryConfig) -> np.ndarray:
-    """Coefficient array of phi, length J+1."""
-    return phi_from_roots(cfg).coeffs
+    """Coefficients of phi(z) = prod_j (1 - w_j z), length J+1."""
+    return _linear_product(cfg.conjugates)
+
+
+def phi_reduced(cfg: BoundaryConfig, j: int) -> np.ndarray:
+    """Coefficients of prod_{k != j} (1 - w_k z): phi with the j-th factor
+    removed."""
+    return _linear_product(w for k, w in enumerate(cfg.conjugates) if k != j)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +275,7 @@ def homogeneous_symmetric(k, points: Sequence[complex]):
     prod_j (1 - x_j t); the brute-force monomial sum lives only in the tests.
     """
     ks = np.asarray(k)
-    gamma = np.array([1.0 + 0j])
-    for x in points:
-        gamma = np.convolve(gamma, np.array([1.0, -complex(x)]))
+    gamma = _linear_product(points)
     h = np.zeros(max(int(np.max(ks)), 0) + 1, dtype=complex)
     h[0] = 1.0
     for m in range(1, len(h)):

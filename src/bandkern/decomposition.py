@@ -23,8 +23,8 @@ from .core import (
     BasisBand,
     BoundaryConfig,
     WeightSequence,
+    beta_coefficients,
     mu_weights,
-    phi_from_roots,
     root_powers,
 )
 
@@ -67,11 +67,11 @@ def q_coefficients(ns, cfg: BoundaryConfig) -> np.ndarray:
     at most J and Q_n(1) = 0, since 1/w_j = z_j is a root of phi.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    phi = phi_from_roots(cfg)
+    beta, k = beta_coefficients(cfg), np.arange(cfg.J + 1)
     # w_j^m = conj(z_j^m), exact in the phase for rational angles
     W = np.stack([np.conj(root_powers(cfg, j, cfg.J + ns))
                   for j in range(cfg.J)], axis=-1)
-    P = np.stack([phi.scale_argument(z).coeffs for z in cfg.roots])
+    P = np.stack([beta * complex(z) ** k for z in cfg.roots])
     return (W / np.asarray(mu_weights(cfg))) @ P
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BasisBand, BoundaryConfig, Poly, WeightSequence
+from .core import BasisBand, BoundaryConfig, WeightSequence
 from .recursion import _section_norm_ladder, growth_verdict
 
 _SUP_RADIUS = 0.9     # constant_sup_error checks the circle |z| = _SUP_RADIUS
@@ -63,30 +63,27 @@ def _l2_checkpoints(coeffs: np.ndarray):
 def constant_expansion(N: int, cfg: BoundaryConfig,
                        weights: WeightSequence) -> ExpansionReport:
     """Coefficients c_0..c_N of the constant function 1 = sum c_n f_n:
-    c = L^-1 e_0."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    e0 = np.zeros(N + 1, dtype=complex)
-    e0[0] = 1.0
-    c = BasisBand(cfg, weights, N + 1).solve(e0, overwrite_b=True)
-    checks, norms = _l2_checkpoints(c)
-    return ExpansionReport(c, checks, norms, growth_verdict(list(norms)))
+    c = L^-1 e_0.  N must be positive."""
+    return polynomial_membership([1.0], N, cfg, weights)
 
 
-def polynomial_membership(poly: Poly, N: int, cfg: BoundaryConfig,
+def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
                           weights: WeightSequence) -> ExpansionReport:
-    """Candidate basis coefficients of a polynomial by banded forward
-    substitution of its Taylor coefficients, with the l2 plateau verdict.
+    """Candidate basis coefficients alpha_0..alpha_N of the polynomial with
+    ascending coefficients ``coeffs`` by banded forward substitution of its
+    Taylor coefficients, with the l2 plateau verdict.
 
     The unit diagonal of the basis matrix determines the coefficients
-    uniquely; membership shows up as a plateau of the running norms.
+    uniquely; membership shows up as a plateau of the running norms.  The
+    degree, read after trailing zeros are trimmed, must be below N.
     """
     from .decomposition import taylor_to_basis
 
-    if poly.degree >= N:
+    coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=complex)), "b")
+    if len(coeffs) > N:
         raise ValueError("prefix too short for the polynomial degree")
     taylor = np.zeros(N + 1, dtype=complex)
-    taylor[: len(poly.coeffs)] = poly.coeffs
+    taylor[: len(coeffs)] = coeffs
     alpha = taylor_to_basis(taylor, cfg, weights)
     checks, norms = _l2_checkpoints(alpha)
     return ExpansionReport(alpha, checks, norms, growth_verdict(list(norms)))
@@ -107,7 +104,7 @@ def mz_norm_report(cfg: BoundaryConfig, weights: WeightSequence,
     isometry and can mask growth of the remainder).  Both operators,
     L^-1 S L and L^-1 S L - S, are applied matrix-free through the leading
     sections of one band of L at the largest truncation, each as a ladder
-    warm-started from rung to rung (see section_norm)."""
+    warm-started from rung to rung (see _section_norm in recursion)."""
     N_list = sorted(int(N) for N in N_list)
     L = BasisBand(cfg, weights, N_list[-1])
 

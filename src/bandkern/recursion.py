@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import dstemr
 
@@ -31,7 +32,6 @@ from .core import (
     SearchFailureError,
     WeightSequence,
     beta_coefficients,
-    phi_from_roots,
 )
 
 LIKELY_BOUNDED = "likely-bounded"
@@ -44,7 +44,7 @@ _RATE_MARGIN = 0.05    # decay-rate samples must clear 1/2 by this much
 _DECAY_SAMPLES = (2000, 8000, 32000, 128000)   # n of the decay-rate samples
 _MU_EPSILON = 1e-2    # max_j |z_j^mu - 1| of the limit-point exponent mu
 _N_FIT = 64           # starting-vector decay is measured over n <= _N_FIT
-_ROW_BLOCK = 32       # section_norm keeps its basis in blocks of this many rows
+_ROW_BLOCK = 32       # _section_norm keeps its basis in blocks of this many rows
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,10 @@ def starting_vector(n: int, cfg: BoundaryConfig,
 def nu0_expansion(cfg: BoundaryConfig) -> np.ndarray:
     """Coefficients -w_j / phi'(z_j) expressing (0,...,0,1) in the
     eigenvector basis."""
-    phi_prime = phi_from_roots(cfg).derivative()
+    phi_prime = polyder(beta_coefficients(cfg))
     out = []
     for z, w in zip(cfg.roots, cfg.conjugates):
-        d = complex(phi_prime(z))
+        d = polyval(z, phi_prime)
         if abs(d) < 1e-300:
             raise ZeroDivisionError("phi' vanishes at a root")
         out.append(-w / d)
@@ -252,7 +252,7 @@ class _Rows:
                    for i, rows in enumerate(self._filled()))
 
 
-def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
+def _section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     """Spectral norm of the N x N operator A given by x -> A x and y -> A^H y.
 
     Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from a fixed
@@ -291,7 +291,7 @@ def section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
 
 
 def _bidiagonalize(N: int, matvec, rmatvec, v: np.ndarray, blas) -> tuple:
-    """section_norm's iteration from the unit start vector v, with blas the
+    """_section_norm's iteration from the unit start vector v, with blas the
     BLAS (?axpy, ?gemv) of v's type.  Returns the NormEstimate and the right
     singular vector, None when the estimate is an exact 0."""
     eps = np.finfo(float).eps
@@ -332,9 +332,9 @@ def _bidiagonalize(N: int, matvec, rmatvec, v: np.ndarray, blas) -> tuple:
 
 
 def _section_norm_ladder(N_list: Sequence[int], sections, dtype) -> list:
-    """section_norm of the leading N x N sections of one operator, N in the
+    """_section_norm of the leading N x N sections of one operator, N in the
     increasing N_list, each rung warm-started from the rung below as
-    section_norm describes; sections(N) gives the (matvec, rmatvec) of
+    _section_norm describes; sections(N) gives the (matvec, rmatvec) of
     section N.  The random draws and the BLAS routines are taken once for
     the ladder: the first N draws of the seed-0 stream are the N draws of
     a fresh one."""
@@ -556,17 +556,11 @@ class StartingDecayFit:
 
 
 def starting_alpha_limit(cfg: BoundaryConfig) -> np.ndarray:
-    """Limits lambda_j of c_{n+j,n}/(1 - a_n):
-    lambda_j = j beta_j - sum_{i<j} beta_i lambda_{j-i}."""
+    """Limits lambda_j of c_{n+j,n}/(1 - a_n), j = 1..J: the solution of
+    lambda_j = j beta_j - sum_{i<j} beta_i lambda_{j-i}, a lower-triangular
+    Toeplitz solve with the J x J section of Lhat."""
     beta = beta_coefficients(cfg)
-    J = len(beta) - 1
-    lam = np.zeros(J, dtype=complex)
-    for j in range(1, J + 1):
-        s = j * beta[j]
-        for i in range(1, j):
-            s -= beta[i] * lam[j - i - 1]
-        lam[j - 1] = s
-    return lam
+    return BasisBand(cfg, None, cfg.J).solve(np.arange(1, cfg.J + 1) * beta[1:])
 
 
 def fit_starting_decay(cfg: BoundaryConfig,

@@ -1,12 +1,13 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 
 from bandkern import (
     BoundaryConfig,
-    Poly,
     WeightSequence,
     beta_coefficients,
     bp_apply,
@@ -17,7 +18,6 @@ from bandkern import (
     kernel_eval,
     partial_gram,
     mu_weights,
-    phi_from_roots,
     q_coefficients,
     reconstruct,
     taylor_to_basis,
@@ -71,19 +71,17 @@ def test_boundary_coeffs_roundtrip_complex_config(harm1):
 def p_polynomials(n_max, cfg):
     """Oracle for the columns of bp_apply: p_0 = 1,
     p_n = beta_n x^n - sum_{i=1..n} beta_i p_{n-i} while n <= J, then the
-    homogeneous tail rule; column k of Lhat^-1 L holds p_{n-k}(a_k) at row n."""
+    homogeneous tail rule; column k of Lhat^-1 L holds p_{n-k}(a_k) at row n.
+    Ascending coefficient arrays, combined by numpy.polynomial."""
     beta = beta_coefficients(cfg)
     J = len(beta) - 1
-    ps = [Poly([1.0])]
+    ps = [np.array([1.0])]
     for n in range(1, n_max + 1):
+        acc = np.zeros(n + 1 if n <= J else 1, dtype=complex)
         if n <= J:
-            coeffs = np.zeros(n + 1, dtype=complex)
-            coeffs[n] = beta[n]
-            acc = Poly(coeffs, trim=False)
-        else:
-            acc = Poly([0.0])
+            acc[n] = beta[n]
         for i in range(1, min(n, J) + 1):
-            acc = acc - beta[i] * ps[n - i]
+            acc = P.polysub(acc, beta[i] * ps[n - i])
         ps.append(acc)
     return ps
 
@@ -91,9 +89,9 @@ def p_polynomials(n_max, cfg):
 def test_p_polynomials_first_members(cfg_cube):
     beta = beta_coefficients(cfg_cube)
     ps = p_polynomials(3, cfg_cube)
-    assert_allclose(ps[0].coeffs, [1.0])
+    assert_allclose(ps[0], [1.0])
     expect_p1 = np.array([-beta[1], beta[1]])
-    assert_allclose(ps[1].coeffs[: 2], expect_p1, atol=1e-14)
+    assert_allclose(ps[1][: 2], expect_p1, atol=1e-14)
 
 
 def test_p_polynomials_match_bp_columns():
@@ -108,24 +106,21 @@ def test_p_polynomials_match_bp_columns():
             e_k[k] = 1.0
             col = bp_apply(e_k, cfg, weights)
             a_k = weights.a(k)
-            expect = np.array([ps[n](a_k) for n in range(N - k)])
+            expect = np.array([P.polyval(a_k, ps[n]) for n in range(N - k)])
             assert_allclose(col[k: N], expect[: N - k], atol=1e-12)
 
 
 def q_polynomial(n, cfg):
     """Oracle for row n of q_coefficients: the per-n sum
-    Q_n(x) = sum_j (w_j^J / mu_j) phi(x / w_j) w_j^n as a Poly."""
-    phi = phi_from_roots(cfg)
-    acc = Poly([0.0])
+    Q_n(x) = sum_j (w_j^J / mu_j) phi(x / w_j) w_j^n, with phi the
+    numpy.polynomial product of its linear factors."""
+    phi = reduce(P.polymul, ([1.0, -w] for w in cfg.conjugates), [1.0])
+    k = np.arange(len(phi))
+    acc = np.zeros(1, dtype=complex)
     for j, (z, mu) in enumerate(zip(cfg.roots, mu_weights(cfg))):
         w_pow = complex(np.conj(root_powers(cfg, j, np.array([cfg.J + n]))[0]))
-        acc = acc + (w_pow / mu) * phi.scale_argument(z)
+        acc = P.polyadd(acc, (w_pow / mu) * phi * z ** k)    # phi(x / w_j)
     return acc
-
-
-def q_polys(ns, cfg):
-    """The rows of q_coefficients as Poly objects."""
-    return [Poly(row) for row in q_coefficients(ns, cfg)]
 
 
 def test_q_coefficients_match_per_n_oracle():
@@ -136,17 +131,17 @@ def test_q_coefficients_match_per_n_oracle():
         table = q_coefficients(ns, cfg)
         assert table.shape == (len(ns), cfg.J + 1)
         for n, row in zip(ns, table):
-            oracle = q_polynomial(int(n), cfg).coeffs
+            oracle = q_polynomial(int(n), cfg)
             assert np.max(np.abs(row[: len(oracle)] - oracle)) <= 1e-13
             assert np.max(np.abs(row[len(oracle):]), initial=0.0) <= 1e-13
 
 
 def test_q_polynomial_single_root(cfg_one):
-    q0 = q_polys([0], cfg_one)[0]
-    assert_allclose(q0.coeffs, [1.0, -1.0], atol=1e-14)
+    q0 = q_coefficients([0], cfg_one)[0]
+    assert_allclose(q0, [1.0, -1.0], atol=1e-14)
     # J=1: every Q_n is 1 - x
-    for q in q_polys([-3, -1, 5], cfg_one):
-        assert_allclose(q.coeffs, [1.0, -1.0], atol=1e-14)
+    for q in q_coefficients([-3, -1, 5], cfg_one):
+        assert_allclose(q, [1.0, -1.0], atol=1e-14)
 
 
 def test_q_recursion_random_configs():
@@ -156,10 +151,10 @@ def test_q_recursion_random_configs():
         beta = beta_coefficients(cfg)
         J = cfg.J
         for n in range(0, 2 * J + 1):
-            qs = q_polys([n - i for i in range(min(n, J) + 1)], cfg)
+            qs = q_coefficients([n - i for i in range(min(n, J) + 1)], cfg)
             for _ in range(10):
                 x = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
-                s = sum(beta[i] * qs[i](x) for i in range(min(n, J) + 1))
+                s = sum(beta[i] * P.polyval(x, qs[i]) for i in range(min(n, J) + 1))
                 target = beta[n + 1] * (x ** (n + 1) - 1) if n + 1 <= J else 0.0
                 assert abs(s - target) <= 1e-9
 
@@ -168,17 +163,17 @@ def test_q_vanishes_at_one():
     rng = np.random.default_rng(6)
     for _ in range(8):
         cfg = random_rational_config(rng, J_max=5)
-        for q in q_polys((-5, -1, 0, 3, 11), cfg):
-            assert abs(q(1.0)) <= 1e-12
+        for q in q_coefficients((-5, -1, 0, 3, 11), cfg):
+            assert abs(P.polyval(1.0, q)) <= 1e-12
 
 
 def test_q_bound_constant_finite(cfg_pm1, harm1):
     c = measure_q_bound(cfg_pm1, harm1)
     assert 0 < c < 50.0
     # the bound it certifies: |Q_n(a_m)| <= c (1 - a_m) on a fresh sample
-    for q in q_polys((-7, 2, 19), cfg_pm1):
+    for q in q_coefficients((-7, 2, 19), cfg_pm1):
         for m in (3, 33, 333):
-            assert abs(q(harm1.a(m))) <= (c + 1e-9) * harm1.one_minus_a(m)
+            assert abs(P.polyval(harm1.a(m), q)) <= (c + 1e-9) * harm1.one_minus_a(m)
 
 
 # --- the quotient encoding -----------------------------------------------------------
@@ -190,7 +185,7 @@ def test_bp_apply_first_column(cfg_pm1, harm1):
     g = bp_apply(e0, cfg_pm1, harm1)
     ps = p_polynomials(N, cfg_pm1)
     a0 = harm1.a(0)
-    assert_allclose(g, [ps[n](a0) for n in range(N)], atol=1e-12)
+    assert_allclose(g, [P.polyval(a0, ps[n]) for n in range(N)], atol=1e-12)
 
 
 def test_bp_apply_polynomial_division_oracle(cfg_cube, harm1):
@@ -239,7 +234,7 @@ def test_reconstruct_trivial(cfg_pm1, harm1):
     assert_allclose(alpha, 0.0, atol=1e-15)
     assert_allclose(taylor, 0.0, atol=1e-15)
     alpha1, taylor1 = reconstruct(np.array([1.0]), np.zeros(2), cfg_pm1, harm1, 8)
-    assert_allclose(taylor1[:3], phi_from_roots(cfg_pm1).coeffs, atol=1e-14)
+    assert_allclose(taylor1[:3], beta_coefficients(cfg_pm1), atol=1e-14)
     assert_allclose(taylor1[3:], 0.0, atol=1e-14)
 
 

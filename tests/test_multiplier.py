@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
 
 from bandkern import (
     BasisBand,
     BoundaryConfig,
-    Poly,
     WeightSequence,
+    beta_coefficients,
     constant_expansion,
     eval_f_prefix,
     h2_coeffs,
     mz_norm_report,
-    phi_from_roots,
     polynomial_membership,
 )
 from bandkern.multiplier import _mz_apply, constant_sup_error
@@ -217,7 +216,7 @@ def test_constant_expansion_validates(cfg_pm1, harm1):
 # --- polynomial membership ----------------------------------------------------------
 
 def test_membership_phi_plateaus(cfg_pm1, harm1):
-    phi = phi_from_roots(cfg_pm1)
+    phi = beta_coefficients(cfg_pm1)
     rep = polynomial_membership(phi, 512, cfg_pm1, harm1)
     assert rep.verdict == "likely-bounded"
     # phi = phi * 1: corresponding alpha is the first column of the
@@ -226,7 +225,7 @@ def test_membership_phi_plateaus(cfg_pm1, harm1):
 
 
 def test_membership_constant_matches_expansion(cfg_pm1, harm1):
-    rep = polynomial_membership(Poly([1.0]), 128, cfg_pm1, harm1)
+    rep = polynomial_membership([1.0], 128, cfg_pm1, harm1)
     exp = constant_expansion(128, cfg_pm1, harm1)
     assert_allclose(rep.coeffs, exp.coeffs, atol=1e-12)
 
@@ -234,7 +233,7 @@ def test_membership_constant_matches_expansion(cfg_pm1, harm1):
 def test_membership_z_is_composition(cfg_pm1, harm1):
     # coefficients of z = M_z applied to the coefficients of 1
     N = 128
-    rep_z = polynomial_membership(Poly([0.0, 1.0]), N, cfg_pm1, harm1)
+    rep_z = polynomial_membership([0.0, 1.0], N, cfg_pm1, harm1)
     rep_1 = constant_expansion(N, cfg_pm1, harm1)
     composed = mz_apply(rep_1.coeffs, cfg_pm1, harm1)
     assert np.max(np.abs(rep_z.coeffs - composed)) <= 1e-10
@@ -242,7 +241,14 @@ def test_membership_z_is_composition(cfg_pm1, harm1):
 
 def test_membership_rejects_short_prefix(cfg_pm1, harm1):
     with pytest.raises(ValueError):
-        polynomial_membership(Poly([1, 1, 1]), 2, cfg_pm1, harm1)
+        polynomial_membership([1, 1, 1], 2, cfg_pm1, harm1)
+
+
+def test_membership_degree_ignores_trailing_zeros(cfg_pm1, harm1):
+    # [1, 0, 0] has degree 0, so N = 1 holds it and it is the constant 1
+    rep = polynomial_membership([1, 0, 0], 1, cfg_pm1, harm1)
+    assert_array_equal(rep.coeffs,
+                       polynomial_membership([1], 1, cfg_pm1, harm1).coeffs)
 
 
 # --- truncated norms -----------------------------------------------------------------

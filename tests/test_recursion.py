@@ -21,13 +21,13 @@ from bandkern import (
     mz_norm_report,
     nu0_expansion,
     product_norm,
-    section_norm,
     starting_vector,
 )
 from bandkern.recursion import (
     _N_FIT,
     _column_norms,
     _companion,
+    _section_norm,
     decay_rate_samples,
     growth_verdict,
     starting_alpha_limit,
@@ -308,7 +308,7 @@ def test_section_norm_repeated_top_singular_value(dtype):
     d = rng.permutation(np.r_[3.0, 3.0, rng.uniform(0.0, 2.5, 198)])
     if dtype is complex:
         d = d * np.exp(2j * np.pi * rng.uniform(size=d.size))
-    est = section_norm(200, lambda x: d * x, lambda y: d.conj() * y, dtype)
+    est = _section_norm(200, lambda x: d * x, lambda y: d.conj() * y, dtype)
     assert est.value == pytest.approx(3.0, rel=1e-13)
     assert est.residual <= 1e-12 * est.value
     assert 1 <= est.steps <= 200
@@ -320,8 +320,8 @@ def test_section_norm_rank_one():
     # residual <= 1e-12 value.
     rng = np.random.default_rng(41)
     u, v = (rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300)))
-    est = section_norm(300, lambda x: u * (v.conj() @ x),
-                       lambda y: v * (u.conj() @ y), complex)
+    est = _section_norm(300, lambda x: u * (v.conj() @ x),
+                        lambda y: v * (u.conj() @ y), complex)
     expect = np.linalg.norm(u) * np.linalg.norm(v)
     assert est.value == pytest.approx(expect, rel=1e-13)
     assert est.residual <= 1e-12 * est.value
@@ -335,7 +335,7 @@ def test_section_norm_smallest_sections(N):
     rng = np.random.default_rng(42 + N)
     for _ in range(20):
         A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        est = section_norm(N, *_dense_operator(A), complex)
+        est = _section_norm(N, *_dense_operator(A), complex)
         assert est.value == pytest.approx(np.linalg.norm(A, 2), rel=1e-14)
         assert est.residual <= 1e-13 * est.value
         assert est.steps <= N
@@ -347,8 +347,8 @@ def test_section_norm_rounding_level_is_zero():
     N, eps = 50, np.finfo(float).eps
     d = np.linspace(0.1, 1.0, N)
     for scale, expect in ((eps / 2, 0.0), (100 * N * eps, 100 * N * eps)):
-        est = section_norm(N, lambda x: scale * d * x,
-                           lambda y: scale * d * y, float)
+        est = _section_norm(N, lambda x: scale * d * x,
+                            lambda y: scale * d * y, float)
         assert est.value == pytest.approx(expect, rel=1e-13, abs=0)
         if expect == 0.0:
             assert est.residual == 0.0
@@ -359,7 +359,7 @@ def test_section_norm_repeats_bit_for_bit(cfg_cube, harm1):
     L, Lhat = BasisBand(cfg_cube, harm1, 300), BasisBand(cfg_cube, None, 300)
     ops = (lambda x: L.solve(Lhat.matvec(x)),
            lambda y: Lhat.matvec(L.solve(y, trans="C"), trans="C"), complex)
-    assert section_norm(300, *ops) == section_norm(300, *ops)
+    assert _section_norm(300, *ops) == _section_norm(300, *ops)
 
 
 def test_section_norms_hard_spectrum():
@@ -424,7 +424,7 @@ def test_ladders_match_cold_section_norms():
     # Warm-started ladders of C, M_z and M_z - S over random rational
     # configs (J = 1..6, ladders up to 1024, N = 1 among them, where M_z
     # and M_z - S are exact zeros and the next rung starts cold) against
-    # section_norm on bands built at each N.  Tolerances: rtol 1e-12 on the
+    # _section_norm on bands built at each N.  Tolerances: rtol 1e-12 on the
     # values, residual <= 1e-10 value.
     rng = np.random.default_rng(60)
     sizes = [1, 2, 3, 5, 8, 16, 64, 100, 256, 512, 1000, 1024]
@@ -452,7 +452,7 @@ def test_ladders_match_cold_section_norms():
             for warm, ops, dt in ((rep.norm_estimates[k], c_ops, dtype),
                                   (mz.full_norms[k], mz_ops, L.ab.dtype),
                                   (mz.shifted_norms[k], shifted_ops, L.ab.dtype)):
-                cold = section_norm(N, *ops, dt)
+                cold = _section_norm(N, *ops, dt)
                 assert warm.truncation == N
                 assert warm.value == pytest.approx(cold.value, rel=1e-12, abs=0)
                 assert warm.residual <= 1e-10 * warm.value
@@ -613,3 +613,30 @@ def test_fit_rejects_wrong_rate(cfg_pm1, pow2):
 
 def test_starting_alpha_limit_single(cfg_one):
     assert_allclose(starting_alpha_limit(cfg_one), [-1.0])
+
+
+def starting_alpha_loop(cfg):
+    """Oracle: lambda_j = j beta_j - sum_{i<j} beta_i lambda_{j-i} term by
+    term, j = 1..J."""
+    beta = beta_coefficients(cfg)
+    lam = np.zeros(cfg.J, dtype=complex)
+    for j in range(1, cfg.J + 1):
+        s = j * beta[j]
+        for i in range(1, j):
+            s -= beta[i] * lam[j - i - 1]
+        lam[j - 1] = s
+    return lam
+
+
+def test_starting_alpha_limit_matches_loop():
+    # the Lhat solve against the recursion written out, J = 1..6.  Some
+    # lambda_j vanish up to rounding, so the tolerance is rtol 1e-13 in
+    # norm, the quantity fit_starting_decay reads.
+    rng = np.random.default_rng(61)
+    for J in range(1, 7):
+        for _ in range(3):
+            cfg = BoundaryConfig.from_angles(
+                [Fraction(int(q), 24) for q in rng.choice(24, J, replace=False)])
+            ref = starting_alpha_loop(cfg)
+            err = np.linalg.norm(starting_alpha_limit(cfg) - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref)
