@@ -4,12 +4,22 @@ boundary roots, and reassemble it.
 reconstruct builds the coefficient prefix of phi*g + sum_j b_j K(., z_j);
 decompose recovers (g, b) from that prefix alone.  The kernel loadings are
 identified through the non-decaying oscillatory modes they leave in the
-Hardy-quotient coefficients.
+Hardy-quotient coefficients: the quotient encoding q = Lhat^-1 L alpha,
+with sum alpha_n f_n = phi * q as formal series.
 """
 
 import numpy as np
 
-from bandkern import BoundaryConfig, WeightSequence, decompose, reconstruct
+from bandkern import (
+    BoundaryConfig,
+    WeightSequence,
+    beta_coefficients,
+    bp_apply,
+    decompose,
+    h2_coeffs,
+    partial_gram,
+    reconstruct,
+)
 
 rng = np.random.default_rng(42)
 cfg = BoundaryConfig.from_angles(["0", "1/3", "2/3"])   # phi(z) = 1 - z^3
@@ -35,3 +45,12 @@ print("max spurious quotient tail:   ",
       float(np.max(np.abs(dec.g[9:]))))
 print("taylor-coefficient residual:  ", dec.residual)
 print("tail-mode misfit:             ", dec.tail_misfit)
+
+quotient = bp_apply(alpha, cfg, weights)
+mismatch = (np.convolve(beta_coefficients(cfg), quotient)[:N]
+            - h2_coeffs(alpha, cfg, weights))
+print()
+print("max |phi * quotient - Taylor coefficients|:",
+      float(np.max(np.abs(mismatch))))
+gram = partial_gram(cfg, weights, N)
+print(f"Gram matrix of the 3 kernel partial sums: condition number {gram.cond:.6g}")

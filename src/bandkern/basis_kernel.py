@@ -22,6 +22,7 @@ from .core import (
     BasisBand,
     BoundaryConfig,
     DomainError,
+    MIN_TRUNCATION,
     TWO_PI,
     TruncationError,
     WeightSequence,
@@ -329,13 +330,13 @@ def domain_report(z, cfg: BoundaryConfig, weights: WeightSequence,
     mass, 'diverging' when partial sums keep growing by an essentially
     constant factor, otherwise 'inconclusive'.
     """
-    if N < 16:
-        raise ValueError("N must be at least 16")
+    if N < MIN_TRUNCATION:
+        raise ValueError(f"N must be at least {MIN_TRUNCATION}")
     z = complex(z)
     if abs(z) > 1.0 + 1e-12 and _special_index(z, cfg) is None:
         raise DomainError(f"{z} is outside the closed disk and not a root")
     n_checks = []
-    m = 16
+    m = MIN_TRUNCATION
     while m <= N:
         n_checks.append(m)
         m *= 2

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import basis_kernel, decomposition, multiplier, recursion
 from .core import (
+    MIN_TRUNCATION,
     BoundaryConfig,
     ConfigurationError,
     DomainError,
@@ -45,6 +46,9 @@ EXPERIMENTS = (
     "identities",
     "domain",
 )
+
+# experiments whose verdicts read the growth of partial sums or section norms
+_GROWTH_EXPERIMENTS = ("containment", "multiplier", "divergence-example", "domain")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,10 +166,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             or any(b <= a for a, b in zip(truncations, truncations[1:]))):
         raise ConfigurationError("truncations must be a strictly increasing "
                                  "nonempty list of positive integers")
+    if experiment in _GROWTH_EXPERIMENTS and truncations[0] < MIN_TRUNCATION:
+        raise ConfigurationError(
+            f"{experiment} truncations must be at least {MIN_TRUNCATION}: "
+            "a growth or domain verdict from smaller sections rests on nothing")
     tolerance = float(raw.get("tolerance", 1e-8))
     if not 0.0 < tolerance <= 1e-2:
         raise ConfigurationError("tolerance must lie in (0, 1e-2]")
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError("seed must be an integer >= 0")
     points = raw.get("points", [])
     if not isinstance(points, list):
         raise ConfigurationError("points must be a list of points or pairs")
@@ -236,8 +246,10 @@ def _run_decomposition(ec: ExperimentConfig):
         g0[:, t] = g / np.linalg.norm(g)
         b = rng.standard_normal(J) + 1j * rng.standard_normal(J)
         b0[:, t] = b / max(1.0, float(np.linalg.norm(b)))
-    alpha, _ = decomposition.reconstruct(g0, b0, ec.cfg, ec.weights, N)
-    dec = decomposition.decompose(alpha, ec.cfg, ec.weights, N)
+    # L, Lhat and the boundary kernel columns are built once for the run
+    split = decomposition._Splitting(ec.cfg, ec.weights, N)
+    alpha, _ = split.reconstruct(g0, b0)
+    dec = split.decompose(alpha)
     errs = np.max(np.abs(np.vstack([dec.b - b0, dec.g[: deg + 1] - g0,
                                     dec.g[deg + 1:]])), axis=0)
     rows = []
@@ -245,10 +257,9 @@ def _run_decomposition(ec: ExperimentConfig):
         rows.append((t, "roundtrip_error", float(errs[t])))
         rows.append((t, "taylor_residual", float(dec.residual[t])))
     worst = float(np.max(errs))
-    gram = decomposition.partial_gram(ec.cfg, ec.weights, N)
     q_c = decomposition.measure_q_bound(ec.cfg, ec.weights)
     verdict = "pass" if worst <= ec.tolerance else "fail"
-    meas = {"max_roundtrip_error": worst, "gram_cond": gram.cond,
+    meas = {"max_roundtrip_error": worst, "gram_cond": split.gram.cond,
             "q_bound_constant": q_c}
     return {"roundtrip": verdict}, meas, rows
 

@@ -24,6 +24,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 TOL_UNIT = 1e-12      # |z_j| deviation from the unit circle
 TOL_SEP = 1e-9        # minimal pairwise root separation
 TOL_IDENTITY = 1e-9   # default residual for the polynomial identities
+MIN_TRUNCATION = 16   # smallest truncation a growth or domain verdict reads
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,8 +180,9 @@ class BasisBand:
     is LAPACK's lower-band storage.  With ``weights`` None every a_n is 1
     and the band is Lhat, the coefficients of z^n phi(z), whose diagonals
     are the constants beta_k.  A band whose entries are all real is stored
-    real.  The BLAS/LAPACK routines of the products and solves are looked
-    up once per vector type and band.
+    real.  A product with Lhat is beta_0 x plus J ?axpy calls, for vectors
+    and for C-contiguous blocks alike.  The BLAS/LAPACK routines of the
+    products and solves are looked up once per vector type and band.
 
     Every coefficient route of the package is a solve or a product with
     such a band: C = L^-1 Lhat, M_z = L^-1 S L (S the shift), the constant
@@ -221,22 +223,27 @@ class BasisBand:
         return self._routines[key]
 
     def matvec(self, x, trans: str = "N") -> np.ndarray:
-        """L x (trans "C": L^H x) for x of N rows.  On a vector, Lhat is
-        beta_0 x plus J ?axpy calls over shifted slices, and L one BLAS
-        ?gbmv call when the vector's type holds the band's; otherwise one
-        pass per diagonal."""
+        """L x (trans "C": L^H x) for x of N rows.  On a vector or a
+        C-contiguous block, Lhat is beta_0 x plus J ?axpy calls over shifted
+        slices, and on a vector L is one BLAS ?gbmv call when the vector's
+        type holds the band's; otherwise one pass per diagonal."""
         x = np.asarray(x)
         kl = min(self.J, self.N - 1)     # a band longer than the matrix is cut
-        if x.ndim == 1 and self._diagonals is not None:
+        if self._diagonals is not None and (
+                x.ndim == 1 or x.ndim == 2 and x.size and x.flags.c_contiguous):
             beta = self._diagonals.conj() if trans == "C" else self._diagonals
             y = beta[0] * x
-            x = x.astype(y.dtype, copy=False)
+            xs, ys, T = x.astype(y.dtype, copy=False), y, 1
+            if x.ndim == 2:
+                # an (N, T) block in C order is one vector whose rows n and
+                # n - k lie k*T entries apart
+                xs, ys, T = xs.reshape(-1), y.reshape(-1), x.shape[1]
             axpy = self._routine("axpy", y)
             for k in range(1, kl + 1):
                 if trans == "C":
-                    axpy(x, y, self.N - k, beta[k], offx=k)
+                    axpy(xs, ys, (self.N - k) * T, beta[k], offx=k * T)
                 else:
-                    axpy(x, y, self.N - k, beta[k], offy=k)
+                    axpy(xs, ys, (self.N - k) * T, beta[k], offy=k * T)
             return y
         if x.ndim == 1 and (np.iscomplexobj(self.ab) or not np.iscomplexobj(x)):
             gbmv = self._routine("gbmv", x)      # it needs N >= kl + 1

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis_kernel import eval_f_prefix, h2_coeffs
+from .basis_kernel import eval_f_prefix
 from .core import (
     BasisBand,
     BoundaryConfig,
@@ -49,9 +49,12 @@ class GramMatrix:
 
 def partial_gram(cfg: BoundaryConfig, weights: WeightSequence, N: int) -> GramMatrix:
     """Exact Gram matrix of the length-N kernel partial sums."""
-    kappa = _kernel_columns(cfg, weights, N)
+    return _gram(_kernel_columns(cfg, weights, N))
+
+
+def _gram(kappa: np.ndarray) -> GramMatrix:
     A = kappa.T @ kappa.conj()
-    return GramMatrix(A, float(np.linalg.cond(A)), N)
+    return GramMatrix(A, float(np.linalg.cond(A)), len(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -109,48 +112,81 @@ class Decomposition:
     tail_misfit: float
 
 
+class _Splitting:
+    """What decompose, reconstruct and the Gram matrix share at truncation
+    N: the bands L and Lhat, and the Taylor coefficients L kappa of the
+    boundary kernel columns.  kappa is evaluated once and dropped once
+    L kappa and its Gram matrix are formed."""
+
+    def __init__(self, cfg: BoundaryConfig, weights: WeightSequence, N: int):
+        self.cfg, self.N = cfg, N
+        self.L, self.Lhat = BasisBand(cfg, weights, N), BasisBand(cfg, None, N)
+        kappa = _kernel_columns(cfg, weights, N)
+        self.gram = _gram(kappa)
+        self.kappa_taylor = self.L.matvec(kappa)
+
+    def decompose(self, alpha: np.ndarray) -> Decomposition:
+        J, N = self.cfg.J, self.N
+        if len(alpha) < N:
+            raise ValueError(f"alpha has shape {alpha.shape}; "
+                             f"need at least N = {N} rows")
+        n0 = max(2 * J + 2, N // 4)
+        if n0 >= N - J:
+            raise ValueError("prefix too short for the tail window")
+        t = self.L.matvec(alpha[:N].reshape(N, -1))
+        # one solve gives the quotient columns [Q_kappa, Q_alpha] of Lhat^-1 L
+        q = np.empty((N, J + t.shape[1]), dtype=complex, order="F")
+        q[:, :J], q[:, J:] = self.kappa_taylor, t
+        q = self.Lhat.solve(q, overwrite_b=True)
+        H, Y = q[n0:, :J], q[n0:, J:]
+        b, *_ = np.linalg.lstsq(H, Y, rcond=None)
+        misfit = (np.linalg.norm(Y - H @ b, axis=0)
+                  / np.maximum(np.linalg.norm(Y, axis=0), 1e-300))
+        g = q[:, J:] - q[:, :J] @ b      # the quotient of alpha - kappa b
+        del q, H, Y                      # free the stacked columns
+
+        # Taylor coefficients of phi*g + sum_j b_j K(., z_j) against the input's
+        t_model = self.Lhat.matvec(g)
+        t_model += self.kappa_taylor @ b
+        t_model -= t
+        residual = np.max(np.abs(t_model[: N - J]), axis=0)
+        if alpha.ndim == 1:
+            return Decomposition(g[:, 0], b[:, 0], float(residual[0]),
+                                 float(misfit[0]))
+        return Decomposition(g, b, residual, misfit)
+
+    def reconstruct(self, g, b) -> tuple:
+        g = np.asarray(g, dtype=complex)
+        b = np.asarray(b, dtype=complex)
+        if b.shape[:1] != (self.cfg.J,) or g.shape[1:] != b.shape[1:]:
+            raise ValueError(f"g has shape {g.shape} and b {b.shape}; "
+                             f"b needs J = {self.cfg.J} rows and the columns of g")
+        g_head = np.zeros((self.N,) + g.shape[1:], dtype=complex)
+        g_head[: len(g)] = g[: self.N]
+        taylor = self.Lhat.matvec(g_head)
+        taylor += self.kappa_taylor @ b
+        return self.L.solve(taylor), taylor
+
+
 def decompose(alpha, cfg: BoundaryConfig, weights: WeightSequence,
               N: Optional[int] = None) -> Decomposition:
     """Split a coefficient prefix into quotient g and kernel loadings b.
 
-    The loadings are recovered by least squares of the quotient tail
-    (indices >= max(2J + 2, N//4)) against the boundary modes; the
-    quotient follows from the encoding applied to the corrected prefix.
-    ``residual`` is the largest Taylor-coefficient mismatch of the input
-    against phi*g + sum b_j K(., z_j) on degrees <= N - J; ``tail_misfit``
-    is the relative least-squares misfit, which measures how far the prefix
-    is from an exact finite splitting.
+    One banded solve gives the quotient columns Lhat^-1 L of the boundary
+    kernel columns kappa and of the prefix.  The loadings b are recovered by
+    least squares of the quotient tail (indices >= max(2J + 2, N//4))
+    against the kernel columns' quotients; since the quotient map is
+    linear, g is the prefix's quotient minus theirs times b.
+    ``residual`` is the largest Taylor-coefficient mismatch L alpha -
+    (Lhat g + L kappa b) on degrees <= N - J, an independent check of that
+    algebra; ``tail_misfit`` is the relative least-squares misfit, which
+    measures how far the prefix is from an exact finite splitting.
 
     An (N, T) block splits T prefixes at once: g is (N, T), b is (J, T)
     and residual and tail_misfit hold one value per column.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    if N is None:
-        N = len(alpha)
-    if len(alpha) < N:
-        raise ValueError(f"alpha has shape {alpha.shape}; need at least N = {N} rows")
-    J = cfg.J
-    n0 = max(2 * J + 2, N // 4)
-    if n0 >= N - J:
-        raise ValueError("prefix too short for the tail window")
-    cols = np.column_stack([_kernel_columns(cfg, weights, N),
-                            alpha[:N].reshape(N, -1)])
-    kappa, block = cols[:, :J], cols[:, J:]
-
-    modes_quotient = bp_apply(cols, cfg, weights)
-    H, Y = modes_quotient[n0:, :J], modes_quotient[n0:, J:]
-    b, *_ = np.linalg.lstsq(H, Y, rcond=None)
-    misfit = (np.linalg.norm(Y - H @ b, axis=0)
-              / np.maximum(np.linalg.norm(Y, axis=0), 1e-300))
-    g = bp_apply(block - kappa @ b, cfg, weights)
-
-    # Taylor coefficients of the input and of phi*g + sum_j b_j K(., z_j)
-    t = h2_coeffs(cols, cfg, weights)
-    t_model = BasisBand(cfg, None, N).matvec(g) + t[:, :J] @ b
-    residual = np.max(np.abs(t[: N - J, J:] - t_model[: N - J]), axis=0)
-    if alpha.ndim == 1:
-        return Decomposition(g[:, 0], b[:, 0], float(residual[0]), float(misfit[0]))
-    return Decomposition(g, b, residual, misfit)
+    return _Splitting(cfg, weights, len(alpha) if N is None else N).decompose(alpha)
 
 
 def reconstruct(g, b, cfg: BoundaryConfig, weights: WeightSequence,
@@ -161,16 +197,7 @@ def reconstruct(g, b, cfg: BoundaryConfig, weights: WeightSequence,
     of the Taylor prefix against the unit-diagonal basis matrix.  Columns
     of g (deg+1, T) and b (J, T) give T elements at once, as (N, T) arrays.
     """
-    g = np.asarray(g, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if b.shape[:1] != (cfg.J,) or g.shape[1:] != b.shape[1:]:
-        raise ValueError(f"g has shape {g.shape} and b {b.shape}; "
-                         f"b needs J = {cfg.J} rows and the columns of g")
-    g_head = np.zeros((N,) + g.shape[1:], dtype=complex)
-    g_head[: len(g)] = g[:N]
-    kernel_taylor = h2_coeffs(_kernel_columns(cfg, weights, N), cfg, weights)
-    taylor = BasisBand(cfg, None, N).matvec(g_head) + kernel_taylor @ b
-    return taylor_to_basis(taylor, cfg, weights), taylor
+    return _Splitting(cfg, weights, N).reconstruct(g, b)
 
 
 def taylor_to_basis(taylor, cfg: BoundaryConfig,

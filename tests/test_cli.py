@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from bandkern import basis_kernel, core, decomposition
 from bandkern.cli import emit_plot_data, main, run, validate_summary
 
 
@@ -178,6 +179,35 @@ def test_decomposition_run(tmp_path):
                      for q in ("roundtrip_error", "taylor_residual")]
 
 
+def test_decomposition_run_builds_each_band_once(tmp_path, monkeypatch):
+    # reconstruct, decompose and the Gram matrix of one run share one L, one
+    # Lhat and one evaluation of each of the J boundary kernel columns
+    bands, evaluations = [], []
+    init = core.BasisBand.__init__
+
+    def counting_init(self, cfg, weights, N, start=0):
+        bands.append("Lhat" if weights is None else "L")
+        init(self, cfg, weights, N, start)
+
+    monkeypatch.setattr(core.BasisBand, "__init__", counting_init)
+    for module in (basis_kernel, decomposition):
+        def counting_eval(*args, _eval=module.eval_f_prefix, **kwargs):
+            evaluations.append(args[0])
+            return _eval(*args, **kwargs)
+        monkeypatch.setattr(module, "eval_f_prefix", counting_eval)
+    cfgp = write_config(
+        tmp_path, "dec.json",
+        experiment="decomposition",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        truncations=[256, 512],
+        trials=3,
+    )
+    assert run(cfgp, out=str(tmp_path / "dec_out")) == 0
+    assert sorted(bands) == ["L", "Lhat"]
+    assert evaluations == [512] * 3
+
+
 def test_identities_run(tmp_path):
     cfgp = write_config(
         tmp_path, "ids.json",
@@ -276,6 +306,44 @@ def test_invalid_trials_is_config_error(tmp_path, trials):
     diag = read_summary(prefix)
     assert diag["status"] == "error"
     assert "trials" in diag["error"]["message"]
+
+
+@pytest.mark.parametrize("experiment", ["decomposition", "containment"])
+@pytest.mark.parametrize("seed", [-1, 2.7, True, "3"])
+def test_invalid_seed_is_config_error(tmp_path, seed, experiment):
+    # a fractional seed must not run as its integer part, and a negative one
+    # must be refused also by an experiment that draws nothing from it
+    cfgp = write_config(
+        tmp_path, "seed.json",
+        experiment=experiment,
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        truncations=[128, 256],
+        seed=seed,
+    )
+    prefix = str(tmp_path / "seed_out")
+    assert run(cfgp, out=prefix) == 2
+    diag = read_summary(prefix)
+    assert diag["error"]["kind"] == "ConfigurationError"
+    assert "seed" in diag["error"]["message"]
+
+
+@pytest.mark.parametrize("experiment", ["containment", "multiplier",
+                                        "divergence-example", "domain"])
+def test_truncation_below_verdict_floor_is_config_error(tmp_path, experiment):
+    # sections below 16 gave verdicts the paper contradicts (multiplier and
+    # divergence-example said likely-unbounded on harmonic p=1 at [2, 4]) or
+    # that rest on nothing (containment's plateau at [1, 2]); 16 itself runs
+    weights = {"kind": "harmonic", "p": 1.0, "offset": 2.0}
+    cfgp = write_config(tmp_path, "small.json", experiment=experiment,
+                        weights=weights, truncations=[8, 16])
+    prefix = str(tmp_path / "small_out")
+    assert run(cfgp, out=prefix) == 2
+    diag = read_summary(prefix)
+    assert diag["error"]["kind"] == "ConfigurationError"
+    assert "at least 16" in diag["error"]["message"]
+    cfgp = write_config(tmp_path, "floor.json", experiment=experiment,
+                        weights=weights, truncations=[16, 32])
+    assert run(cfgp, out=str(tmp_path / "floor_out")) == 0
 
 
 def test_single_truncation_summary_is_strict_json(tmp_path):

@@ -316,17 +316,22 @@ def test_leading_section_matches_band_built_at_its_size(angles, weights):
 @pytest.mark.parametrize("angles", [["0", "1/2"], ["0", "1/3", "2/3"],
                                     ["0", "1/12", "5/12", "2/3"]])
 def test_lhat_vector_product_matches_dense(angles):
-    # Lhat x and Lhat^H x on one vector run as beta_0 x plus J axpy calls;
-    # against the dense Lhat written entry by entry, for real and complex
-    # vectors and sections down to N = 1.  Tolerance: rtol 1e-14 in the
-    # 2-norm (the sums run in another order than the dense product's).
+    # Lhat x and Lhat^H x run as beta_0 x plus J axpy calls on a vector and
+    # on a C-ordered block, and one pass per diagonal on F-ordered and
+    # strided blocks; against the dense Lhat written entry by entry, for
+    # real and complex vectors and blocks and sections down to N = 1.
+    # Tolerance: rtol 1e-14 in the 2-norm (Frobenius for blocks; the sums
+    # run in another order than the dense product's).
     cfg = BoundaryConfig.from_angles(angles)
     rng = np.random.default_rng(51)
     for N in (1, 2, cfg.J, cfg.J + 1, 100):
         A = dense_basis_matrix(N, cfg)
         band = BasisBand(cfg, None, N)
         for dtype in (float, complex):
-            x, _ = _vectors(rng, N, dtype)
-            for y, ref in ((band.matvec(x), A @ x),
-                           (band.matvec(x, trans="C"), A.conj().T @ x)):
-                assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+            x, block = _vectors(rng, N, dtype)
+            for v in (x, np.ascontiguousarray(block), np.asfortranarray(block),
+                      block):
+                for y, ref in ((band.matvec(v), A @ v),
+                               (band.matvec(v, trans="C"), A.conj().T @ v)):
+                    assert y.shape == v.shape
+                    assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)

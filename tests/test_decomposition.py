@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from bandkern import (
     BoundaryConfig,
@@ -25,7 +26,7 @@ from bandkern import (
 from bandkern.core import root_powers
 from bandkern.decomposition import measure_q_bound
 
-from conftest import random_rational_config
+from conftest import dense_basis_matrix, random_rational_config
 
 
 # --- Gram matrix -----------------------------------------------------------------
@@ -327,3 +328,39 @@ def test_reconstruct_rejects_wrong_loading_count(cfg_pm1, harm1, nb):
 def test_decompose_rejects_short_prefix(cfg_pm1, harm1):
     with pytest.raises(ValueError, match=r"shape \(100,\)"):
         decompose(np.ones(100), cfg_pm1, harm1, N=128)
+
+
+def test_decompose_matches_dense_triangular_oracle():
+    # g and b against dense solves written without BasisBand: b is the least
+    # squares fit of the quotient tails (rows >= max(2J + 2, N//4)) of alpha
+    # on those of the kernel columns kappa, and g solves Lhat g = L(alpha -
+    # kappa b) by scipy's solve_triangular.  kappa[n, j] = conj(f_n(z_j)) is
+    # read off a dense L of N + J rows, which holds all of f_n for n < N, as
+    # conj(sum_m L[m, n] z_j^m).  Random rational configs with J in 1..4,
+    # harmonic weights, random prefixes of T = 1 or 3 columns.  Tolerance:
+    # 1e-14 c^2 relative to max |g| and to max |b|, c the condition number
+    # of the kernel columns' quotient tails: both routes solve the same
+    # systems in another order, and least squares with a large misfit
+    # amplifies such rounding by up to c^2 (Wedin 1973).
+    rng = np.random.default_rng(61)
+    N = 96
+    for trial in range(12):
+        cfg = random_rational_config(rng, J_max=4)
+        weights = WeightSequence.harmonic(float(rng.uniform(0.6, 2.0)), 2.0)
+        T = (1, 3)[trial % 2]
+        L = dense_basis_matrix(N, cfg, weights)
+        Lhat = dense_basis_matrix(N, cfg)
+        vander = np.array(cfg.roots)[:, None] ** np.arange(N + cfg.J)
+        kappa = np.conj(vander @ dense_basis_matrix(N + cfg.J, cfg, weights)).T[:N]
+        alpha = rng.standard_normal((N, T)) + 1j * rng.standard_normal((N, T))
+        quotient = solve_triangular(Lhat, L @ np.hstack([kappa, alpha]),
+                                    lower=True, unit_diagonal=True)
+        n0 = max(2 * cfg.J + 2, N // 4)
+        H = quotient[n0:, :cfg.J]
+        b, *_ = np.linalg.lstsq(H, quotient[n0:, cfg.J:], rcond=None)
+        g = solve_triangular(Lhat, L @ (alpha - kappa @ b), lower=True,
+                             unit_diagonal=True)
+        tol = 1e-14 * np.linalg.cond(H) ** 2
+        dec = decompose(alpha[:, 0] if T == 1 else alpha, cfg, weights)
+        assert np.max(np.abs(dec.b.reshape(b.shape) - b)) <= tol * np.max(np.abs(b))
+        assert np.max(np.abs(dec.g.reshape(g.shape) - g)) <= tol * np.max(np.abs(g))
