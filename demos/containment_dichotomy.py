@@ -3,7 +3,8 @@
 Whether phi * H^2 embeds in the space is governed by the decay rate
 p = lim n (1 - a_n): the embedding matrix is bounded when p > 1/2 and the
 norms of its truncations keep growing when the weights converge too fast
-(p = 0) or too slowly (p < 1/2).
+(p = 0) or too slowly (p < 1/2).  The verdict reads p back as p_hat from the
+dyadic decay of column 0 of the matrix, the basis coefficients of phi.
 """
 
 from bandkern import BoundaryConfig, WeightSequence, containment_report
@@ -19,12 +20,12 @@ cases = [
     ("powerlaw p=2.00", WeightSequence.power_law(2.0)),
 ]
 
-print(f"{'weights':18s} {'norms at ' + str(N_list):44s} verdict (reason)")
+print(f"{'weights':18s} {'norms at ' + str(N_list):44s} verdict (p_hat)")
 for label, weights in cases:
     rep = containment_report(cfg, weights, N_list)
     norms = " ".join(f"{e.value:8.4f}" for e in rep.norm_estimates)
-    extra = f", rate ~ {rep.rate_measured:.3f}" if rep.rate_measured is not None else ""
-    print(f"{label:18s} {norms:44s} {rep.verdict} ({rep.verdict_reason}{extra})")
+    p_hat = " ".join(f"{p:.4f}" for p in rep.p_hat)
+    print(f"{label:18s} {norms:44s} {rep.verdict} ({p_hat})")
 
 print()
 print("the dichotomy threshold sits at decay rate 1/2")

@@ -4,7 +4,7 @@ Spaces with orthonormal basis f_n(z) = z^n * phi(a_n z) for finitely many
 distinct unimodular roots of phi and weights a_n -> 1: kernel evaluation
 with certified truncation error, the band of basis Taylor coefficients
 behind every coefficient route (re-expansion, z-multiplication, the
-quotient encoding), the containment verdict with its companion-matrix
+quotient encoding), the containment verdict, the companion-matrix
 products, the explicit splitting into phi * H^2 plus boundary kernel
 functions, and the z-multiplication operator with the expansion of 1.
 Polynomials (phi, the reduced phi_j, the boundary polynomials Q_n and the

@@ -204,14 +204,12 @@ def _run_containment(ec: ExperimentConfig):
     rows += [(k, "column_l2", v) for k, v in enumerate(rep.column_norms)]
     meas = {
         "plateau_rel": rep.plateau_rel,
-        "verdict_reason": rep.verdict_reason,
+        "p_hat": rep.p_hat,
         "norm_residual_max": max(e.residual for e in rep.norm_estimates),
         "norm_steps_max": max(e.steps for e in rep.norm_estimates),
         "norm_steps": {"norm_estimate": [e.steps for e in rep.norm_estimates]},
         "column_norm_cancellation": rep.column_norm_cancellation,
     }
-    if rep.rate_measured is not None:
-        meas["decay_rate"] = rep.rate_measured
     if ec.weights.rate_hypothesis:
         fit = recursion.fit_starting_decay(ec.cfg, ec.weights)
         meas["D1"] = fit.D1
@@ -227,10 +225,10 @@ def _run_divergence(ec: ExperimentConfig):
     csum = np.sqrt(np.cumsum(np.abs(col) ** 2))
     norms = [float(csum[N - 1]) for N in ec.truncations]
     rows += [(N, "column0_l2", v) for N, v in zip(ec.truncations, norms)]
-    verdict = recursion.growth_verdict(norms)
+    verdict, p_hat = recursion._l2_verdict(col)
     meas = {"c_2_0": float(np.real(col[2])) if abs(col[2].imag) < 1e-12
             else [col[2].real, col[2].imag],
-            "column0_l2_final": norms[-1]}
+            "column0_l2_final": norms[-1], "p_hat": p_hat}
     return {"column_growth": verdict}, meas, rows
 
 
@@ -258,9 +256,12 @@ def _run_decomposition(ec: ExperimentConfig):
         rows.append((t, "taylor_residual", float(dec.residual[t])))
     worst = float(np.max(errs))
     q_c = decomposition.measure_q_bound(ec.cfg, ec.weights)
-    verdict = "pass" if worst <= ec.tolerance else "fail"
+    # the splitting needs phi = phi * 1 in the space: column 0 of C in l2
+    l2, p_hat = recursion._l2_verdict(recursion._column0(split.L, split.Lhat))
+    verdict = ("fail" if worst > ec.tolerance or l2 == recursion.LIKELY_UNBOUNDED
+               else "pass" if l2 == recursion.LIKELY_BOUNDED else l2)
     meas = {"max_roundtrip_error": worst, "gram_cond": split.gram.cond,
-            "q_bound_constant": q_c}
+            "q_bound_constant": q_c, "p_hat": p_hat}
     return {"roundtrip": verdict}, meas, rows
 
 
@@ -275,7 +276,7 @@ def _run_multiplier(ec: ExperimentConfig):
     rows += [(int(c), "const_l2", float(v))
              for c, v in zip(exp.checkpoints, exp.partial_norms)]
     estimates = rep.full_norms + rep.shifted_norms
-    meas = {"constant_sup_error": sup_err,
+    meas = {"constant_sup_error": sup_err, "p_hat": exp.p_hat,
             "norm_residual_max": max(e.residual for e in estimates),
             "norm_steps_max": max(e.steps for e in estimates),
             "norm_steps": {

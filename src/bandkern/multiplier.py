@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BasisBand, BoundaryConfig, WeightSequence
-from .recursion import _section_norm_ladder, growth_verdict
+from .recursion import _l2_verdict, _section_norm_ladder, growth_verdict
 
 _SUP_RADIUS = 0.9     # constant_sup_error checks the circle |z| = _SUP_RADIUS
 _SUP_GRID = 64        # at this many equally spaced points
@@ -40,12 +40,13 @@ def _mz_apply(L: BasisBand, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Coefficients with their running l2 norms and a plateau verdict."""
+    """Coefficients, their running l2 norms and the l2 verdict with its p_hat."""
 
     coeffs: np.ndarray
     checkpoints: np.ndarray
     partial_norms: np.ndarray
     verdict: str
+    p_hat: tuple
 
 
 def _l2_checkpoints(coeffs: np.ndarray):
@@ -71,10 +72,10 @@ def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
                           weights: WeightSequence) -> ExpansionReport:
     """Candidate basis coefficients alpha_0..alpha_N of the polynomial with
     ascending coefficients ``coeffs`` by banded forward substitution of its
-    Taylor coefficients, with the l2 plateau verdict.
+    Taylor coefficients, with the l2 verdict on them.
 
     The unit diagonal of the basis matrix determines the coefficients
-    uniquely; membership shows up as a plateau of the running norms.  The
+    uniquely; membership is alpha in l2 (recursion._l2_verdict).  The
     degree, read after trailing zeros are trimmed, must be below N.
     """
     from .decomposition import taylor_to_basis
@@ -86,7 +87,7 @@ def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
     taylor[: len(coeffs)] = coeffs
     alpha = taylor_to_basis(taylor, cfg, weights)
     checks, norms = _l2_checkpoints(alpha)
-    return ExpansionReport(alpha, checks, norms, growth_verdict(list(norms)))
+    return ExpansionReport(alpha, checks, norms, *_l2_verdict(alpha))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ C = L^-1 Lhat.  Its entries obey
     c_{n+k,n} = beta_k - sum_{i=1..min(k,J)} beta_i a_{n+k-i}^i c_{n+k-i,n}
 
 with beta_k = 0 for k > J.  Windows of length J of each column advance by a
-J x J companion matrix whose norm products decide whether C extends to a
-bounded operator.
+J x J companion matrix, whose norm products carry the paper's proof.  Every
+l2 verdict, whether C is bounded among them, reads the dyadic decay of one
+coefficient vector (_l2_verdict).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
@@ -40,9 +41,7 @@ INCONCLUSIVE = "inconclusive"
 
 _PLATEAU_TOL = 1e-3    # last-doubling relative increase that counts as a plateau
 _GROWTH_TOL = 0.05     # last-doubling relative increase that counts as growth
-_RATE_MARGIN = 0.05    # decay-rate samples must clear 1/2 by this much
-_DECAY_SAMPLES = (2000, 8000, 32000, 128000)   # n of the decay-rate samples
-_MU_EPSILON = 1e-2    # max_j |z_j^mu - 1| of the limit-point exponent mu
+_L2_MARGIN = 0.05      # each exponent read by _l2_verdict must clear 1/2 by this
 _N_FIT = 64           # starting-vector decay is measured over n <= _N_FIT
 _ROW_BLOCK = 32       # _section_norm keeps its basis in blocks of this many rows
 
@@ -359,6 +358,11 @@ def growth_verdict(values: Sequence[float]) -> str:
     is Cauchy: when the extrapolated remaining growth d*r/(1-r) stays within
     ten plateau tolerances it is also declared likely-bounded.  Sustained
     relative growth beyond _GROWTH_TOL declares likely-unbounded.
+
+    Its one caller is multiplier.mz_norm_report: no coefficient vector
+    stands in for the norms of M_z.  The geometric rule stays because on
+    roots +-1, harmonic p = 0.75, the M_z norms at 128..2048 neither
+    plateau nor grow by _GROWTH_TOL, and it alone affirms them.
     """
     if len(values) < 2 or values[-1] <= 0:
         return INCONCLUSIVE
@@ -378,6 +382,35 @@ def growth_verdict(values: Sequence[float]) -> str:
     return INCONCLUSIVE
 
 
+def _l2_verdict(x: np.ndarray) -> tuple:
+    """(verdict, p_hat): whether the coefficients x are in l2, read from the
+    energies E_k = sum_{2^k <= n < 2^{k+1}} |x_n|^2 of the dyadic blocks
+    that end inside x.  Under n (1 - a_n) -> p, column 0 of C and the
+    expansions L^-1 t of polynomials decay like n^-p, so E_k ~ 2^{k (1 - 2p)}
+    and p_hat_k = (1 - log2(E_{k+1} / E_k)) / 2 reads p; x is in l2 iff
+    p > 1/2.  The verdict needs each of the last three p_hat beyond 1/2 by
+    _L2_MARGIN on one side; fewer than four blocks, or a block of zero
+    energy (its ratios are nan), leave it inconclusive.
+    """
+    K = len(x).bit_length() - 1            # blocks k < K end inside x
+    if K < 4:
+        return INCONCLUSIVE, ()
+    blocks = [x[m: 2 * m] for m in 2 ** np.arange(K - 4, K)]
+    E = [np.vdot(b, b).real for b in blocks]
+    p_hat = tuple((1.0 - math.log2(b / a)) / 2.0 if a > 0.0 and b > 0.0
+                  else math.nan for a, b in zip(E, E[1:]))
+    if all(p > 0.5 + _L2_MARGIN for p in p_hat):
+        return LIKELY_BOUNDED, p_hat
+    if all(p < 0.5 - _L2_MARGIN for p in p_hat):
+        return LIKELY_UNBOUNDED, p_hat
+    return INCONCLUSIVE, p_hat
+
+
+def _column0(L: BasisBand, Lhat: BasisBand) -> np.ndarray:
+    """Column 0 of C = L^-1 Lhat, the basis coefficients of phi."""
+    return L.solve(Lhat.matvec(np.eye(1, L.N)[0]), overwrite_b=True)
+
+
 @dataclass(frozen=True)
 class ContainmentReport:
     truncations: tuple
@@ -385,29 +418,8 @@ class ContainmentReport:
     column_norms: np.ndarray
     column_norm_cancellation: float   # rounding amplification of column_norms**2
     plateau_rel: float
-    rate_measured: Optional[float]
+    p_hat: tuple                      # _l2_verdict's exponents on column 0
     verdict: str
-    verdict_reason: str
-
-
-def decay_rate_samples(cfg: BoundaryConfig,
-                       weights: WeightSequence) -> Optional[np.ndarray]:
-    """Samples of the normalized product-norm decay rate
-    n (1 - ||Mhat_{n+mu-1} ... Mhat_n||) / mu at the n of _DECAY_SAMPLES.
-
-    The boundedness dichotomy compares this quantity against 1/2; a verdict
-    only needs every sample on the same side of the threshold, not a settled
-    limit.  Returns None when no limit-point exponent mu is found.
-    """
-    try:
-        mu = mu_search(cfg, _MU_EPSILON)
-    except SearchFailureError:
-        return None
-    vals = []
-    for n in _DECAY_SAMPLES:
-        nrm = product_norm(n, mu, cfg, weights, conjugated=True)
-        vals.append(n * (1.0 - nrm) / mu)
-    return np.asarray(vals)
 
 
 def _column_norms(L: BasisBand, Lhat: BasisBand) -> tuple:
@@ -492,12 +504,11 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
     the bands of L and Lhat at the largest truncation, in O(N J) memory;
     the section norms are a ladder on their leading sections.
 
-    The verdict first applies the plateau rule (last-doubling relative
-    increase below _PLATEAU_TOL).  When truncated norms are still visibly
-    growing, the boundedness dichotomy takes over: sampled decay rates of
-    conjugated companion products are compared against 1/2, which is the
-    decidable side of the problem; samples within _RATE_MARGIN of it stay
-    inconclusive.  All numbers feeding the verdict are reported.
+    The verdict is _l2_verdict on column 0 of C_N, one band solve on the
+    same L and Lhat: phi = phi * 1 in the space is necessary for
+    phi H^2 in it, and under n (1 - a_n) -> p the paper's theorem makes
+    p > 1/2 sufficient.  The section norms, whose approach to their limit
+    can be as slow as 1/ln^2 N, and plateau_rel are measurements only.
     """
     N_list = sorted(int(N) for N in N_list)
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -514,25 +525,10 @@ def containment_report(cfg: BoundaryConfig, weights: WeightSequence,
     col_norms, cancellation = _column_norms(L, Lhat)
     values = [e.value for e in estimates]
     plateau_rel = (values[-1] - values[-2]) / values[-1] if len(values) > 1 else np.inf
-
-    rate = None
-    if plateau_rel < _PLATEAU_TOL:
-        verdict, reason = LIKELY_BOUNDED, "plateau"
-    else:
-        reason = "decay-rate"
-        samples = decay_rate_samples(cfg, weights)
-        if samples is None:
-            verdict = INCONCLUSIVE
-        elif np.all(samples > 0.5 + _RATE_MARGIN):
-            verdict, rate = LIKELY_BOUNDED, float(np.min(samples))
-        elif np.all(samples < 0.5 - _RATE_MARGIN):
-            verdict, rate = LIKELY_UNBOUNDED, float(np.max(samples))
-        else:
-            verdict = INCONCLUSIVE
-            rate = float(np.median(samples))
+    verdict, p_hat = _l2_verdict(_column0(L, Lhat))
     return ContainmentReport(
         tuple(N_list), tuple(estimates), col_norms, cancellation,
-        float(plateau_rel), rate, verdict, reason,
+        float(plateau_rel), p_hat, verdict,
     )
 
 

@@ -358,6 +358,48 @@ def test_single_truncation_summary_is_strict_json(tmp_path):
     with open(prefix + ".summary.json") as fh:
         summary = json.load(fh, parse_constant=_reject_constant)
     assert summary["measurements"]["plateau_rel"] is None
+    p_hat = summary["measurements"]["p_hat"]
+    assert len(p_hat) == 3 and all(abs(p - 1.0) < 0.05 for p in p_hat)
+    assert summary["verdicts"]["containment"] == "likely-bounded"
+
+
+def test_empty_block_at_the_floor_is_inconclusive(tmp_path):
+    # roots +-1 give column 0 of C no odd entries; at N = 16 the l2 rule
+    # would need block [1, 2), which is empty, and reports null for it
+    cfgp = write_config(
+        tmp_path, "floor.json",
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="containment",
+        truncations=[16],
+    )
+    prefix = str(tmp_path / "floor_out")
+    assert run(cfgp, out=prefix) == 0
+    with open(prefix + ".summary.json") as fh:
+        summary = json.load(fh, parse_constant=_reject_constant)
+    assert summary["verdicts"]["containment"] == "inconclusive"
+    p_hat = summary["measurements"]["p_hat"]
+    assert p_hat[0] is None and all(isinstance(p, float) for p in p_hat[1:])
+
+
+@pytest.mark.parametrize("p", [0.25, 0.4])
+def test_decomposition_fails_without_containment(tmp_path, p):
+    # the round trip is an identity of the finite section and holds for any
+    # p; the splitting needs phi in the space, which fails for p < 1/2
+    cfgp = write_config(
+        tmp_path, "dec_low.json",
+        experiment="decomposition",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": p, "offset": 2.0},
+        truncations=[2048, 4096, 8192, 16384],
+        tolerance=1e-6,
+        trials=5,
+    )
+    prefix = str(tmp_path / "dec_low_out")
+    assert run(cfgp, out=prefix) == 0
+    summary = read_summary(prefix)
+    assert summary["measurements"]["max_roundtrip_error"] <= 1e-6
+    assert summary["verdicts"]["roundtrip"] == "fail"
+    assert all(abs(q - p) < 0.05 for q in summary["measurements"]["p_hat"])
 
 
 def test_containment_run_beyond_dense_cap(tmp_path):

@@ -208,6 +208,14 @@ def test_constant_expansion_matches_dense_oracle():
         assert rel_err(rep.coeffs, ref) <= ORACLE_RTOL
 
 
+def test_constant_expansion_slow_weights_not_in_l2(cfg_cube):
+    # at p = 0.4 the coefficients of 1 decay like n^-0.4, though the running
+    # norms at the last two checkpoints, N and N + 1, differ by one term
+    rep = constant_expansion(1024, cfg_cube, WeightSequence.harmonic(0.4, 2.0))
+    assert rep.verdict == "likely-unbounded"
+    assert all(abs(p - 0.4) < 0.05 for p in rep.p_hat)
+
+
 def test_constant_expansion_validates(cfg_pm1, harm1):
     with pytest.raises(ValueError):
         constant_expansion(0, cfg_pm1, harm1)

@@ -25,10 +25,11 @@ from bandkern import (
 )
 from bandkern.recursion import (
     _N_FIT,
+    _PLATEAU_TOL,
     _column_norms,
     _companion,
+    _l2_verdict,
     _section_norm,
-    decay_rate_samples,
     growth_verdict,
     starting_alpha_limit,
 )
@@ -475,8 +476,8 @@ def test_ladders_bind_routines_and_build_bands_once(monkeypatch, report):
     # BLAS/LAPACK lookups and band constructions of a ladder do not grow
     # with its height or its number of rungs: each band is built once, at
     # the top, and binds its routines once per vector type.  Roots +-1 with
-    # harmonic p = 0.25 never plateau, so every containment verdict takes
-    # the decay-rate route (a fixed number of product-norm bands).
+    # harmonic p = 0.25 never plateau; the containment verdict reads column
+    # 0 of C from the same two bands, whatever the ladder.
     import bandkern.core
     import bandkern.recursion
 
@@ -559,10 +560,50 @@ def test_containment_unbounded_slow_harmonic(cfg_pm1):
     assert rep.verdict == "likely-unbounded"
 
 
-def test_decay_rate_samples_settle(cfg_pm1):
-    for p in (0.75, 1.0):
-        vals = decay_rate_samples(cfg_pm1, WeightSequence.harmonic(p, 2.0))
-        assert np.all(np.abs(vals - p) < 0.1 * p)
+# --- the l2 rule on dyadic block energies ---------------------------------------
+
+P_HAT_TOL = 0.02     # |p_hat - p| at N = 2^14, stated before the run
+
+
+@pytest.mark.parametrize("angles", [["1/5"], ["0", "1/7", "3/7"],
+                                    ["0", "1/7", "3/7", "5/11"]])
+def test_l2_verdict_reads_the_harmonic_exponent(angles):
+    # column 0 of C decays like n^-p, so every p_hat reads p; the verdict
+    # sides with the dichotomy and stays undecided at the threshold itself
+    cfg = BoundaryConfig.from_angles(angles)
+    for p in (0.3, 0.4, 0.5, 0.6, 0.8, 1.5):
+        col = c_column(0, 2 ** 14 - 1, cfg, WeightSequence.harmonic(p, 2.0))
+        verdict, p_hat = _l2_verdict(col)
+        assert len(p_hat) == 3
+        assert max(abs(q - p) for q in p_hat) <= P_HAT_TOL, (p, p_hat)
+        assert verdict == ("likely-unbounded" if p < 0.5 else
+                           "inconclusive" if p == 0.5 else "likely-bounded")
+
+
+def test_l2_verdict_reads_only_full_blocks(cfg_cube, harm1):
+    # blocks that end past the last coefficient are not read: at 3000 the
+    # rule reads the blocks of 2048, whatever entries 2048..2999 hold; below
+    # 16 coefficients there are not four blocks to read
+    col = c_column(0, 2999, cfg_cube, harm1)
+    assert _l2_verdict(col) == _l2_verdict(col[:2048])
+    col[2048:] = 1e6
+    assert _l2_verdict(col) == _l2_verdict(col[:2048])
+    assert _l2_verdict(col)[0] == "likely-bounded"
+    assert _l2_verdict(col[:15]) == ("inconclusive", ())
+
+
+def test_table_head_does_not_move_the_containment_verdict(cfg_pm1, harm1):
+    # a_n = 1/2 on odd n < 64 lifts the section norms (they still climb at
+    # 2048) but leaves the tail that decides the verdict alone
+    head = WeightSequence.from_table(
+        [0.5 if n % 2 else float(harm1.a(n)) for n in range(64)], harm1)
+    N_list = [256, 512, 1024, 2048]
+    plain = containment_report(cfg_pm1, harm1, N_list)
+    rep = containment_report(cfg_pm1, head, N_list)
+    assert rep.plateau_rel > _PLATEAU_TOL
+    assert rep.verdict == plain.verdict == "likely-bounded"
+    assert_allclose(rep.p_hat, plain.p_hat, rtol=1e-12)
+    assert_allclose(rep.p_hat, [1.0021, 1.0011, 1.0005], atol=1e-4)
 
 
 def test_growth_verdict_thresholds():
