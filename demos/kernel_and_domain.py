@@ -28,6 +28,6 @@ print("K(1,1) has the closed form pi^2/6 - 1 =", np.pi ** 2 / 6 - 1)
 print()
 print("natural domain diagnostics (partial sums of sum |f_n(z)|^2):")
 for z in [0.5, 1.0, 1j]:
-    rep = domain_report(z, cfg, weights, N=1 << 22)
+    rep = domain_report(z, cfg, weights)
     print(f"  z = {z}: verdict {rep.verdict:12s} "
           f"(last partial sum {rep.partial_sums[-1]:.6g})")

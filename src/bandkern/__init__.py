@@ -2,11 +2,14 @@
 
 Spaces with orthonormal basis f_n(z) = z^n * phi(a_n z) for finitely many
 distinct unimodular roots of phi and weights a_n -> 1: kernel evaluation
-with certified truncation error, the band of basis Taylor coefficients
-behind every coefficient route (re-expansion, z-multiplication, the
-quotient encoding), the containment verdict, the companion-matrix
-products, the explicit splitting into phi * H^2 plus boundary kernel
-functions, and the z-multiplication operator with the expansion of 1.
+with certified truncation error, the natural-domain verdicts, the
+containment verdict, the companion-matrix products, the explicit splitting
+into phi * H^2 plus boundary kernel functions, and the z-multiplication
+operator with the expansion of 1.  Every coefficient map is a product or
+solve with the public band ``BasisBand`` of basis Taylor coefficients L or
+its target Lhat: the Taylor coefficients L alpha, their inverse, the
+re-expansion L^-1 Lhat, z-multiplication L^-1 S L and the quotient
+encoding Lhat^-1 L, which a ``Splitting`` holds at one truncation.
 Polynomials (phi, the reduced phi_j, the boundary polynomials Q_n and the
 inputs of polynomial_membership) are ascending numpy coefficient arrays.
 """
@@ -29,7 +32,6 @@ from .basis_kernel import (
     KernelValue,
     domain_report,
     eval_f_prefix,
-    h2_coeffs,
     kernel_eval,
 )
 from .recursion import (
@@ -49,13 +51,8 @@ from .recursion import (
 )
 from .decomposition import (
     Decomposition,
-    GramMatrix,
-    bp_apply,
-    decompose,
-    partial_gram,
+    Splitting,
     q_coefficients,
-    reconstruct,
-    taylor_to_basis,
 )
 from .multiplier import (
     ExpansionReport,

@@ -1,5 +1,5 @@
-"""Orthonormal basis evaluation, kernel sums with certified truncation error,
-natural-domain diagnostics and the coefficient map into the Hardy space.
+"""Orthonormal basis evaluation, kernel sums with certified truncation error
+and the natural-domain verdicts.
 
 The basis is f_n(z) = z^n * phi(a_n z); the kernel is
 K(z, w) = sum_n f_n(z) * conj(f_n(w)), absolutely convergent for |z|,|w| < 1
@@ -19,7 +19,6 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .core import (
-    BasisBand,
     BoundaryConfig,
     DomainError,
     MIN_TRUNCATION,
@@ -34,7 +33,6 @@ from .core import (
 
 CONVERGING = "converging"
 DIVERGING = "diverging"
-INCONCLUSIVE = "inconclusive"
 
 _N_CAP = 1 << 23          # refuse direct sums beyond this many terms
 _U = 2.0 ** -53           # unit roundoff of float64
@@ -324,16 +322,21 @@ class DomainReport:
 
 def domain_report(z, cfg: BoundaryConfig, weights: WeightSequence,
                   N: int = 4096) -> DomainReport:
-    """Partial sums of sum |f_n(z)|^2 at dyadic checkpoints plus a verdict.
+    """Partial sums of sum |f_n(z)|^2 at dyadic checkpoints, with the verdict
+    the paper proves for z.
 
-    Heuristic only: 'converging' when the last doubling adds < 1e-6 relative
-    mass, 'diverging' when partial sums keep growing by an essentially
-    constant factor, otherwise 'inconclusive'.
+    The series converges at an interior point (|z| < 1 - 1e-14, as in
+    ``classify_point``).  At a root, f_n(z_j) = z_j^n (1 - a_n) phi_j(a_n z_j)
+    with phi_j(z_j) != 0, so it converges iff sum |1 - a_n|^2 does
+    (``weights.square_summable``, the gate of ``kernel_eval`` at roots).  At
+    any other point of the circle |f_n(z)| -> |phi(z)| > 0, so it diverges.
+    The partial sums are measurements; the verdict does not read them.
     """
     if N < MIN_TRUNCATION:
         raise ValueError(f"N must be at least {MIN_TRUNCATION}")
     z = complex(z)
-    if abs(z) > 1.0 + 1e-12 and _special_index(z, cfg) is None:
+    j = _special_index(z, cfg)
+    if j is None and not abs(z) <= 1.0 + 1e-12:     # NaN included
         raise DomainError(f"{z} is outside the closed disk and not a root")
     n_checks = []
     m = MIN_TRUNCATION
@@ -345,22 +348,8 @@ def domain_report(z, cfg: BoundaryConfig, weights: WeightSequence,
     sq = np.abs(eval_f_prefix(N, z, cfg, weights)) ** 2
     csum = np.cumsum(sq)
     partial = csum[np.array(n_checks) - 1]
-    verdict = INCONCLUSIVE
-    if len(partial) >= 2:
-        last, prev = partial[-1], partial[-2]
-        if last > 0 and (last - prev) / last < 1e-6:
-            verdict = CONVERGING
-        else:
-            ratios = partial[1:] / np.maximum(partial[:-1], 1e-300)
-            if len(ratios) >= 3 and np.all(ratios[-3:] > 1.5):
-                verdict = DIVERGING
+    if j is not None:
+        verdict = CONVERGING if weights.square_summable else DIVERGING
+    else:
+        verdict = CONVERGING if abs(z) < 1.0 - 1e-14 else DIVERGING
     return DomainReport(np.array(n_checks), partial, verdict)
-
-
-def h2_coeffs(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Taylor coefficients of sum alpha_n f_n: the banded product L @ alpha.
-
-    y_d = sum_{k=0..J} beta_k a_{d-k}^k alpha_{d-k}.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    return BasisBand(cfg, weights, len(alpha)).matvec(alpha)

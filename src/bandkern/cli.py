@@ -47,7 +47,8 @@ EXPERIMENTS = (
     "domain",
 )
 
-# experiments whose verdicts read the growth of partial sums or section norms
+# experiments held to MIN_TRUNCATION: the growth verdicts read section norms
+# or coefficient blocks from there on; for domain it only validates the input
 _GROWTH_EXPERIMENTS = ("containment", "multiplier", "divergence-example", "domain")
 
 EXIT_OK = 0
@@ -169,7 +170,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if experiment in _GROWTH_EXPERIMENTS and truncations[0] < MIN_TRUNCATION:
         raise ConfigurationError(
             f"{experiment} truncations must be at least {MIN_TRUNCATION}: "
-            "a growth or domain verdict from smaller sections rests on nothing")
+            "growth verdicts and domain checkpoints start there")
     tolerance = float(raw.get("tolerance", 1e-8))
     if not 0.0 < tolerance <= 1e-2:
         raise ConfigurationError("tolerance must lie in (0, 1e-2]")
@@ -245,7 +246,7 @@ def _run_decomposition(ec: ExperimentConfig):
         b = rng.standard_normal(J) + 1j * rng.standard_normal(J)
         b0[:, t] = b / max(1.0, float(np.linalg.norm(b)))
     # L, Lhat and the boundary kernel columns are built once for the run
-    split = decomposition._Splitting(ec.cfg, ec.weights, N)
+    split = decomposition.Splitting(ec.cfg, ec.weights, N)
     alpha, _ = split.reconstruct(g0, b0)
     dec = split.decompose(alpha)
     errs = np.max(np.abs(np.vstack([dec.b - b0, dec.g[: deg + 1] - g0,
@@ -260,7 +261,7 @@ def _run_decomposition(ec: ExperimentConfig):
     l2, p_hat = recursion._l2_verdict(recursion._column0(split.L, split.Lhat))
     verdict = ("fail" if worst > ec.tolerance or l2 == recursion.LIKELY_UNBOUNDED
                else "pass" if l2 == recursion.LIKELY_BOUNDED else l2)
-    meas = {"max_roundtrip_error": worst, "gram_cond": split.gram.cond,
+    meas = {"max_roundtrip_error": worst, "gram_cond": split.gram_cond,
             "q_bound_constant": q_c, "p_hat": p_hat}
     return {"roundtrip": verdict}, meas, rows
 

@@ -24,7 +24,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 TOL_UNIT = 1e-12      # |z_j| deviation from the unit circle
 TOL_SEP = 1e-9        # minimal pairwise root separation
 TOL_IDENTITY = 1e-9   # default residual for the polynomial identities
-MIN_TRUNCATION = 16   # smallest truncation a growth or domain verdict reads
+MIN_TRUNCATION = 16   # smallest truncation a growth verdict or domain report reads
 
 TWO_PI = 2.0 * math.pi
 

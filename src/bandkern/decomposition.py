@@ -3,18 +3,20 @@ kernel functions at the boundary roots.
 
 The quotient encoding drives everything: it maps basis coefficients alpha
 to Hardy-quotient coefficients g with f = sum alpha_n f_n = phi * g as
-formal series, by the banded solve g = Lhat^-1 L alpha.  Splitting a finite
-prefix additionally uses the fact that a wrong kernel loading leaves
-non-decaying oscillatory modes in the quotient coefficients; regressing the
-tail of the quotient onto those modes identifies the loadings to machine
-precision.  The boundary polynomials Q_n, which all vanish at 1, carry the
-measured bound |Q_n(a_m)| <= c (1 - a_m).
+formal series, by the banded solve g = Lhat^-1 L alpha with the bands of
+``core.BasisBand``.  A ``Splitting`` holds both bands and the boundary
+kernel columns at one truncation N for every prefix it splits or builds.
+Splitting a finite prefix additionally uses the fact that a wrong kernel
+loading leaves non-decaying oscillatory modes in the quotient
+coefficients; regressing the tail of the quotient onto those modes
+identifies the loadings to machine precision.  The boundary polynomials
+Q_n, which all vanish at 1, carry the measured bound
+|Q_n(a_m)| <= c (1 - a_m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,30 +33,6 @@ from .core import (
 # the index grid (n, m) over which measure_q_bound samples |Q_n(a_m)|
 _Q_N_RANGE = range(-8, 17)
 _Q_M_RANGE = (0, 1, 2, 4, 8, 16, 64, 256, 1024)
-
-
-# ---------------------------------------------------------------------------
-# Gram matrix of the kernel partial sums at the roots
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """A[i, j] = sum_{n<N} f_n(z_j) conj(f_n(z_i)), the exact Gram matrix of
-    the length-N kernel partial sums at the roots, with N = ``truncation``."""
-
-    matrix: np.ndarray
-    cond: float
-    truncation: int
-
-
-def partial_gram(cfg: BoundaryConfig, weights: WeightSequence, N: int) -> GramMatrix:
-    """Exact Gram matrix of the length-N kernel partial sums."""
-    return _gram(_kernel_columns(cfg, weights, N))
-
-
-def _gram(kappa: np.ndarray) -> GramMatrix:
-    A = kappa.T @ kappa.conj()
-    return GramMatrix(A, float(np.linalg.cond(A)), len(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -79,29 +57,7 @@ def q_coefficients(ns, cfg: BoundaryConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the quotient encoding
-# ---------------------------------------------------------------------------
-
-def bp_apply(alpha, cfg: BoundaryConfig, weights: WeightSequence) -> np.ndarray:
-    """Quotient coefficients g with sum alpha_n f_n = phi * sum g_n z^n as
-    formal series: Lhat g = L alpha, i.e. g = Lhat^-1 L alpha, for alpha of
-    N rows (one or more columns)."""
-    alpha = np.asarray(alpha, dtype=complex)
-    N = len(alpha)
-    y = BasisBand(cfg, weights, N).matvec(alpha)
-    return BasisBand(cfg, None, N).solve(y, overwrite_b=True)
-
-
-def _kernel_columns(cfg: BoundaryConfig, weights: WeightSequence,
-                    N: int) -> np.ndarray:
-    """kappa[:, j] = conj(f_n(z_j)), n < N: the basis coefficients of the
-    boundary kernel K(., z_j)."""
-    return np.stack([np.conj(eval_f_prefix(N, z, cfg, weights))
-                     for z in cfg.roots], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# decompose / reconstruct
+# the splitting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -112,20 +68,44 @@ class Decomposition:
     tail_misfit: float
 
 
-class _Splitting:
-    """What decompose, reconstruct and the Gram matrix share at truncation
-    N: the bands L and Lhat, and the Taylor coefficients L kappa of the
-    boundary kernel columns.  kappa is evaluated once and dropped once
-    L kappa and its Gram matrix are formed."""
+class Splitting:
+    """The splitting of coefficient prefixes of length N into phi * g plus
+    sum_j b_j K(., z_j), for one configuration and weight sequence.
+
+    It holds the bands L and Lhat and the Taylor coefficients L kappa of the
+    boundary kernel columns kappa[:, j] = conj(f_n(z_j)), n < N.  kappa is
+    evaluated once and dropped once L kappa and ``gram_cond``, the condition
+    number of the Gram matrix kappa^T conj(kappa) of the length-N kernel
+    partial sums, are formed; every decompose and reconstruct reuses them.
+    """
 
     def __init__(self, cfg: BoundaryConfig, weights: WeightSequence, N: int):
         self.cfg, self.N = cfg, N
         self.L, self.Lhat = BasisBand(cfg, weights, N), BasisBand(cfg, None, N)
-        kappa = _kernel_columns(cfg, weights, N)
-        self.gram = _gram(kappa)
+        kappa = np.stack([np.conj(eval_f_prefix(N, z, cfg, weights))
+                          for z in cfg.roots], axis=1)
+        self.gram_cond = float(np.linalg.cond(kappa.T @ kappa.conj()))
         self.kappa_taylor = self.L.matvec(kappa)
 
-    def decompose(self, alpha: np.ndarray) -> Decomposition:
+    def decompose(self, alpha) -> Decomposition:
+        """Split a coefficient prefix of at least N rows into quotient g and
+        kernel loadings b.
+
+        One banded solve gives the quotient columns Lhat^-1 L of the
+        boundary kernel columns kappa and of the prefix.  The loadings b are
+        recovered by least squares of the quotient tail (indices
+        >= max(2J + 2, N//4)) against the kernel columns' quotients; since
+        the quotient map is linear, g is the prefix's quotient minus theirs
+        times b.  ``residual`` is the largest Taylor-coefficient mismatch
+        L alpha - (Lhat g + L kappa b) on degrees <= N - J, an independent
+        check of that algebra; ``tail_misfit`` is the relative least-squares
+        misfit, which measures how far the prefix is from an exact finite
+        splitting.
+
+        An (N, T) block splits T prefixes at once: g is (N, T), b is (J, T)
+        and residual and tail_misfit hold one value per column.
+        """
+        alpha = np.asarray(alpha, dtype=complex)
         J, N = self.cfg.J, self.N
         if len(alpha) < N:
             raise ValueError(f"alpha has shape {alpha.shape}; "
@@ -156,6 +136,13 @@ class _Splitting:
         return Decomposition(g, b, residual, misfit)
 
     def reconstruct(self, g, b) -> tuple:
+        """Taylor and basis coefficients of phi * g + sum_j b_j K(., z_j).
+
+        Returns (alpha, taylor), both of N rows; alpha comes from banded
+        forward substitution of the Taylor prefix against the unit-diagonal
+        basis matrix.  Columns of g (deg+1, T) and b (J, T) give T elements
+        at once, as (N, T) arrays.
+        """
         g = np.asarray(g, dtype=complex)
         b = np.asarray(b, dtype=complex)
         if b.shape[:1] != (self.cfg.J,) or g.shape[1:] != b.shape[1:]:
@@ -166,45 +153,6 @@ class _Splitting:
         taylor = self.Lhat.matvec(g_head)
         taylor += self.kappa_taylor @ b
         return self.L.solve(taylor), taylor
-
-
-def decompose(alpha, cfg: BoundaryConfig, weights: WeightSequence,
-              N: Optional[int] = None) -> Decomposition:
-    """Split a coefficient prefix into quotient g and kernel loadings b.
-
-    One banded solve gives the quotient columns Lhat^-1 L of the boundary
-    kernel columns kappa and of the prefix.  The loadings b are recovered by
-    least squares of the quotient tail (indices >= max(2J + 2, N//4))
-    against the kernel columns' quotients; since the quotient map is
-    linear, g is the prefix's quotient minus theirs times b.
-    ``residual`` is the largest Taylor-coefficient mismatch L alpha -
-    (Lhat g + L kappa b) on degrees <= N - J, an independent check of that
-    algebra; ``tail_misfit`` is the relative least-squares misfit, which
-    measures how far the prefix is from an exact finite splitting.
-
-    An (N, T) block splits T prefixes at once: g is (N, T), b is (J, T)
-    and residual and tail_misfit hold one value per column.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    return _Splitting(cfg, weights, len(alpha) if N is None else N).decompose(alpha)
-
-
-def reconstruct(g, b, cfg: BoundaryConfig, weights: WeightSequence,
-                N: int):
-    """Taylor and basis coefficients of phi * g + sum_j b_j K(., z_j).
-
-    Returns (alpha, taylor); alpha comes from banded forward substitution
-    of the Taylor prefix against the unit-diagonal basis matrix.  Columns
-    of g (deg+1, T) and b (J, T) give T elements at once, as (N, T) arrays.
-    """
-    return _Splitting(cfg, weights, N).reconstruct(g, b)
-
-
-def taylor_to_basis(taylor, cfg: BoundaryConfig,
-                    weights: WeightSequence) -> np.ndarray:
-    """Banded forward substitution: the alpha with L alpha = taylor."""
-    taylor = np.asarray(taylor, dtype=complex)
-    return BasisBand(cfg, weights, len(taylor)).solve(taylor)
 
 
 def measure_q_bound(cfg: BoundaryConfig, weights: WeightSequence) -> float:

@@ -78,14 +78,12 @@ def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
     uniquely; membership is alpha in l2 (recursion._l2_verdict).  The
     degree, read after trailing zeros are trimmed, must be below N.
     """
-    from .decomposition import taylor_to_basis
-
     coeffs = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=complex)), "b")
     if len(coeffs) > N:
         raise ValueError("prefix too short for the polynomial degree")
     taylor = np.zeros(N + 1, dtype=complex)
     taylor[: len(coeffs)] = coeffs
-    alpha = taylor_to_basis(taylor, cfg, weights)
+    alpha = BasisBand(cfg, weights, N + 1).solve(taylor)
     checks, norms = _l2_checkpoints(alpha)
     return ExpansionReport(alpha, checks, norms, *_l2_verdict(alpha))
 

@@ -12,13 +12,13 @@ from numpy.polynomial import polynomial as P
 from bandkern import (
     BasisBand,
     BoundaryConfig,
+    Splitting,
     WeightSequence,
     beta_coefficients,
     c_column,
     companion_limit,
     constant_expansion,
     containment_report,
-    decompose,
     eigen_basis,
     fit_starting_decay,
     homogeneous_symmetric,
@@ -29,7 +29,6 @@ from bandkern import (
     nu0_expansion,
     product_norm,
     q_coefficients,
-    reconstruct,
     starting_vector,
 )
 from bandkern.multiplier import constant_sup_error
@@ -182,6 +181,7 @@ def test_criterion_08_decomposition_roundtrip():
         cfg = BoundaryConfig.from_angles(angles)
         for p in (0.75, 1.0):
             weights = WeightSequence.harmonic(p, 2.0)
+            split = Splitting(cfg, weights, N)
             for _ in range(4):
                 trials += 1
                 deg = int(rng.integers(1, 33))
@@ -189,8 +189,8 @@ def test_criterion_08_decomposition_roundtrip():
                 g0 /= np.linalg.norm(g0)
                 b0 = rng.standard_normal(cfg.J) + 1j * rng.standard_normal(cfg.J)
                 b0 /= max(1.0, float(np.linalg.norm(b0)))
-                alpha, _ = reconstruct(g0, b0, cfg, weights, N)
-                dec = decompose(alpha, cfg, weights)
+                alpha, _ = split.reconstruct(g0, b0)
+                dec = split.decompose(alpha)
                 err = max(float(np.max(np.abs(dec.b - b0))),
                           float(np.max(np.abs(dec.g[: deg + 1] - g0))),
                           float(np.max(np.abs(dec.g[deg + 1:]))))

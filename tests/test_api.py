@@ -41,6 +41,26 @@ def referenced_names(path: Path) -> set:
     return out
 
 
+# the public API, pinned: a new export is a deliberate edit of this set
+PUBLIC_API = {
+    "BasisBand", "BoundaryConfig", "ConfigurationError", "ContainmentReport",
+    "Decomposition", "DomainError", "DomainReport", "EigenBasis",
+    "ExpansionReport", "KernelValue", "NormEstimate", "SearchFailureError",
+    "Splitting", "StartingDecayFit", "TruncationError", "WeightSequence",
+    "beta_coefficients", "c_column", "companion_limit", "constant_expansion",
+    "containment_report", "domain_report", "eigen_basis", "eval_f_prefix",
+    "fit_starting_decay", "homogeneous_symmetric", "kernel_eval",
+    "louck_power_sum", "mu_search", "mu_weights", "mz_norm_report",
+    "nu0_expansion", "polynomial_membership", "product_norm", "q_coefficients",
+    "starting_vector",
+}
+
+
+def test_exports_are_the_pinned_api():
+    assert len(PUBLIC_API) == 36
+    assert exported_names() == PUBLIC_API
+
+
 def test_every_public_name_is_reached():
     # the package modules include cli.py
     surfaces = [ROOT / "tests" / "test_acceptance.py", *DEMOS]

@@ -15,7 +15,6 @@ from bandkern import (
     beta_coefficients,
     domain_report,
     eval_f_prefix,
-    h2_coeffs,
     kernel_eval,
 )
 
@@ -27,9 +26,10 @@ from conftest import random_rational_config
 def test_basis_coeffs_powerlaw_example(cfg_pm1, pow2):
     # the Taylor data of f_n sits at degrees n..n+J
     e = np.eye(6)
-    assert_allclose(h2_coeffs(e[0], cfg_pm1, pow2),
-                    [1.0, 0.0, -9.0 / 16.0, 0.0, 0.0, 0.0], atol=1e-15)
-    y2 = h2_coeffs(e[2], cfg_pm1, pow2)
+    L = BasisBand(cfg_pm1, pow2, 6)
+    assert_allclose(L.matvec(e[0]), [1.0, 0.0, -9.0 / 16.0, 0.0, 0.0, 0.0],
+                    atol=1e-15)
+    y2 = L.matvec(e[2])
     assert_allclose(y2[:2], 0.0, atol=0)
     assert abs(y2[4] + 225.0 / 256.0) <= 1e-15
 
@@ -204,9 +204,11 @@ def test_reproducing_property_finite(cfg_pm1, harm1):
 # --- domain report ---------------------------------------------------------------
 
 def test_domain_report_converging_at_root(cfg_one, harm1):
-    rep = domain_report(1.0, cfg_one, harm1, N=1 << 22)
+    # sum_{n<N} (n+2)^-2 falls short of pi^2/6 - 1 by less than 1/(N+1)
+    N = 4096
+    rep = domain_report(1.0, cfg_one, harm1, N=N)
     assert rep.verdict == "converging"
-    assert rep.partial_sums[-1] == pytest.approx(math.pi ** 2 / 6 - 1, abs=1e-5)
+    assert 0 < (math.pi ** 2 / 6 - 1) - rep.partial_sums[-1] <= 1.0 / (N + 1)
 
 
 def test_domain_report_origin(cfg_pm1, harm1):
@@ -220,9 +222,37 @@ def test_domain_report_diverging_on_circle(cfg_pm1, harm1):
     assert rep.verdict == "diverging"
 
 
+def test_domain_verdicts_follow_the_dichotomy():
+    # exactly the J roots converge when sum |1 - a_n|^2 does, and none when
+    # it does not; other circle points diverge and interior points converge,
+    # at the smallest truncation as at 4096
+    rng = np.random.default_rng(28)
+    weight_cases = ((WeightSequence.harmonic(1.0, 2.0), True),
+                    (WeightSequence.power_law(0.4), False),
+                    (WeightSequence.power_law(2.0), True))
+    for _ in range(6):
+        cfg = random_rational_config(rng, J_max=4)
+        off_roots = []
+        while len(off_roots) < 16:
+            z = np.exp(2j * np.pi * rng.uniform())
+            if min(abs(z - r) for r in cfg.roots) > 1e-3:
+                off_roots.append(z)
+        inside = [0.0, 0.5j, 0.99 * np.exp(2j * np.pi * rng.uniform())]
+        for weights, summable in weight_cases:
+            for N in (16, 4096):
+                def verdict(z):
+                    return domain_report(z, cfg, weights, N=N).verdict
+                roots = {verdict(z) for z in cfg.roots}
+                assert roots == {"converging" if summable else "diverging"}
+                assert {verdict(z) for z in off_roots} == {"diverging"}
+                assert {verdict(z) for z in inside} == {"converging"}
+
+
 def test_domain_report_rejects_outside(cfg_pm1, harm1):
     with pytest.raises(DomainError):
         domain_report(1.5, cfg_pm1, harm1)
+    with pytest.raises(DomainError):
+        domain_report(complex("nan"), cfg_pm1, harm1)
     with pytest.raises(ValueError):
         domain_report(0.5, cfg_pm1, harm1, N=8)
 
@@ -232,13 +262,14 @@ def test_domain_report_rejects_outside(cfg_pm1, harm1):
 def test_h2_coeffs_unit_vectors(cfg_pm1, pow2):
     e0 = np.zeros(8)
     e0[0] = 1.0
-    y = h2_coeffs(e0, cfg_pm1, pow2)
+    L = BasisBand(cfg_pm1, pow2, 8)
+    y = L.matvec(e0)
     beta = beta_coefficients(cfg_pm1)
     assert_allclose(y[:3], beta * pow2.a(0) ** np.arange(3), atol=1e-15)
     assert_allclose(y[3:], 0.0, atol=1e-15)
     e3 = np.zeros(8)
     e3[3] = 1.0
-    y3 = h2_coeffs(e3, cfg_pm1, pow2)
+    y3 = L.matvec(e3)
     assert_allclose(y3[:3], 0.0, atol=1e-15)   # supported on degrees 3..3+J
     assert_allclose(y3[6:], 0.0, atol=1e-15)
     assert y3[3] == 1.0 and abs(y3[5]) > 0
@@ -252,7 +283,7 @@ def test_h2_norm_bound_random():
         N = 128
         alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         alpha /= np.linalg.norm(alpha)
-        y = h2_coeffs(alpha, cfg, weights)
+        y = BasisBand(cfg, weights, N).matvec(alpha)
         beta = np.abs(beta_coefficients(cfg))
         a_sup = max(1.0, float(np.max(np.abs(weights.prefix(N)))))
         c = float(np.max(beta * a_sup ** np.arange(cfg.J + 1)))

@@ -237,7 +237,7 @@ def test_domain_run(tmp_path):
         roots={"angles": ["0"]},
         weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
         experiment="domain",
-        truncations=[1 << 22],
+        truncations=[4096],
         points=["z1", {"re": 0.0}],
     )
     prefix = str(tmp_path / "dom_out")

@@ -8,20 +8,16 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from bandkern import (
+    BasisBand,
     BoundaryConfig,
+    Splitting,
     WeightSequence,
     beta_coefficients,
-    bp_apply,
     c_column,
-    decompose,
     eval_f_prefix,
-    h2_coeffs,
     kernel_eval,
-    partial_gram,
     mu_weights,
     q_coefficients,
-    reconstruct,
-    taylor_to_basis,
 )
 from bandkern.core import root_powers
 from bandkern.decomposition import measure_q_bound
@@ -31,29 +27,38 @@ from conftest import dense_basis_matrix, random_rational_config
 
 # --- Gram matrix -----------------------------------------------------------------
 
+def partial_gram(cfg, weights, N):
+    """A[i, j] = sum_{n<N} f_n(z_j) conj(f_n(z_i)), the Gram matrix of the
+    length-N kernel partial sums: kappa^T conj(kappa) with
+    kappa[:, j] = conj(f_n(z_j)) from eval_f_prefix."""
+    kappa = np.stack([np.conj(eval_f_prefix(N, z, cfg, weights))
+                      for z in cfg.roots], axis=1)
+    return kappa.T @ kappa.conj()
+
+
 def test_gram_single_root(cfg_one, harm1):
     # sum_{n<N} (n+2)^-2 falls short of pi^2/6 - 1 by less than 1/(N+1)
     N = 1 << 16
-    g = partial_gram(cfg_one, harm1, N)
-    assert g.matrix.shape == (1, 1)
-    assert 0 < (math.pi ** 2 / 6 - 1) - g.matrix[0, 0].real <= 1.0 / (N + 1)
-    assert g.cond == pytest.approx(1.0)
-    assert g.truncation == N
+    A = partial_gram(cfg_one, harm1, N)
+    assert A.shape == (1, 1)
+    assert 0 < (math.pi ** 2 / 6 - 1) - A[0, 0].real <= 1.0 / (N + 1)
+    assert Splitting(cfg_one, harm1, N).gram_cond == pytest.approx(1.0)
 
 
 def test_gram_hermitian_and_invertible(cfg_cube, harm1):
-    g = partial_gram(cfg_cube, harm1, 4096)
-    assert np.max(np.abs(g.matrix - g.matrix.conj().T)) <= 1e-12
-    assert np.isfinite(g.cond)
-    assert g.cond < 1e6
+    A = partial_gram(cfg_cube, harm1, 4096)
+    assert np.max(np.abs(A - A.conj().T)) <= 1e-12
+    cond = Splitting(cfg_cube, harm1, 4096).gram_cond
+    assert cond == pytest.approx(np.linalg.cond(A), rel=1e-9)
+    assert np.isfinite(cond)
+    assert cond < 1e6
 
 
 def test_partial_gram_matches_full_for_large_prefix(cfg_pm1, harm1):
-    gN = partial_gram(cfg_pm1, harm1, 200_000)
+    A = partial_gram(cfg_pm1, harm1, 200_000)
     full = np.array([[kernel_eval(zj, zi, cfg_pm1, harm1, 1e-9).value
                       for zj in cfg_pm1.roots] for zi in cfg_pm1.roots])
-    assert np.max(np.abs(gN.matrix - full)) <= 1e-4
-    assert gN.truncation == 200_000
+    assert np.max(np.abs(A - full)) <= 1e-4
 
 
 def test_boundary_coeffs_roundtrip_complex_config(harm1):
@@ -61,13 +66,22 @@ def test_boundary_coeffs_roundtrip_complex_config(harm1):
     cfg = BoundaryConfig.from_angles(["1/8", "1/3", "17/24"])
     rng = np.random.default_rng(3)
     b0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    alpha, _ = reconstruct(np.zeros(1), b0, cfg, harm1, 512)
-    dec = decompose(alpha, cfg, harm1)
+    split = Splitting(cfg, harm1, 512)
+    alpha, _ = split.reconstruct(np.zeros(1), b0)
+    dec = split.decompose(alpha)
     assert_allclose(dec.b, b0, atol=1e-8)
     assert np.max(np.abs(dec.g)) <= 1e-8
 
 
 # --- polynomial families ------------------------------------------------------------
+
+def bp_apply(alpha, cfg, weights):
+    """The quotient encoding on the bands: g = Lhat^-1 L alpha, with
+    sum alpha_n f_n = phi * sum g_n z^n as formal series."""
+    alpha = np.asarray(alpha, dtype=complex)
+    N = len(alpha)
+    return BasisBand(cfg, None, N).solve(BasisBand(cfg, weights, N).matvec(alpha))
+
 
 def p_polynomials(n_max, cfg):
     """Oracle for the columns of bp_apply: p_0 = 1,
@@ -197,7 +211,7 @@ def test_bp_apply_polynomial_division_oracle(cfg_cube, harm1):
     g = bp_apply(alpha, cfg_cube, harm1)
     beta = beta_coefficients(cfg_cube)
     lhs = np.convolve(beta, g)[:N]
-    rhs = h2_coeffs(alpha, cfg_cube, harm1)
+    rhs = BasisBand(cfg_cube, harm1, N).matvec(alpha)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -231,10 +245,11 @@ def test_bp_apply_recovers_shifted_phi():
 # --- decompose / reconstruct -----------------------------------------------------------
 
 def test_reconstruct_trivial(cfg_pm1, harm1):
-    alpha, taylor = reconstruct(np.zeros(4), np.zeros(2), cfg_pm1, harm1, 32)
+    b0 = np.zeros(2)
+    alpha, taylor = Splitting(cfg_pm1, harm1, 32).reconstruct(np.zeros(4), b0)
     assert_allclose(alpha, 0.0, atol=1e-15)
     assert_allclose(taylor, 0.0, atol=1e-15)
-    alpha1, taylor1 = reconstruct(np.array([1.0]), np.zeros(2), cfg_pm1, harm1, 8)
+    alpha1, taylor1 = Splitting(cfg_pm1, harm1, 8).reconstruct([1.0], b0)
     assert_allclose(taylor1[:3], beta_coefficients(cfg_pm1), atol=1e-14)
     assert_allclose(taylor1[3:], 0.0, atol=1e-14)
 
@@ -242,14 +257,14 @@ def test_reconstruct_trivial(cfg_pm1, harm1):
 def test_taylor_to_basis_inverts_h2(cfg_cube, harm1):
     rng = np.random.default_rng(10)
     alpha = rng.standard_normal(48) + 1j * rng.standard_normal(48)
-    taylor = h2_coeffs(alpha, cfg_cube, harm1)
-    assert_allclose(taylor_to_basis(taylor, cfg_cube, harm1), alpha, atol=1e-11)
+    L = BasisBand(cfg_cube, harm1, 48)
+    assert_allclose(L.solve(L.matvec(alpha)), alpha, atol=1e-11)
 
 
 def test_decompose_kernel_column(cfg_pm1, harm1):
     N = 256
     alpha = np.conj(eval_f_prefix(N, cfg_pm1.roots[0], cfg_pm1, harm1))
-    dec = decompose(alpha, cfg_pm1, harm1)
+    dec = Splitting(cfg_pm1, harm1, N).decompose(alpha)
     assert_allclose(dec.b, [1.0, 0.0], atol=1e-9)
     assert np.max(np.abs(dec.g)) <= 1e-9
     assert dec.residual <= 1e-10
@@ -257,8 +272,9 @@ def test_decompose_kernel_column(cfg_pm1, harm1):
 
 def test_decompose_pure_quotient(cfg_pm1, harm1):
     N = 256
-    alpha, _ = reconstruct(np.array([1.0]), np.zeros(2), cfg_pm1, harm1, N)
-    dec = decompose(alpha, cfg_pm1, harm1)
+    split = Splitting(cfg_pm1, harm1, N)
+    alpha, _ = split.reconstruct(np.array([1.0]), np.zeros(2))
+    dec = split.decompose(alpha)
     assert_allclose(dec.b, 0.0, atol=1e-10)
     assert abs(dec.g[0] - 1.0) <= 1e-10
     assert np.max(np.abs(dec.g[1:])) <= 1e-10
@@ -268,8 +284,9 @@ def test_decompose_mixed_example(cfg_pm1, harm1):
     N = 512
     g0 = np.array([0.5, 0.5])
     b0 = np.array([0.3, 0.0])
-    alpha, _ = reconstruct(g0, b0, cfg_pm1, harm1, N)
-    dec = decompose(alpha, cfg_pm1, harm1)
+    split = Splitting(cfg_pm1, harm1, N)
+    alpha, _ = split.reconstruct(g0, b0)
+    dec = split.decompose(alpha)
     assert np.max(np.abs(dec.b - b0)) <= 1e-6
     assert np.max(np.abs(dec.g[:2] - g0)) <= 1e-6
     assert np.max(np.abs(dec.g[2:])) <= 1e-6
@@ -283,14 +300,15 @@ def test_roundtrip_random(p):
     for angles in (["0"], ["0", "1/2"], ["0", "1/3", "2/3"]):
         cfg = BoundaryConfig.from_angles(angles)
         weights = WeightSequence.harmonic(p, 2.0)
+        split = Splitting(cfg, weights, N)
         for _ in range(3):
             deg = int(rng.integers(4, 33))
             g0 = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             g0 /= np.linalg.norm(g0)
             b0 = rng.standard_normal(cfg.J) + 1j * rng.standard_normal(cfg.J)
             b0 /= max(1.0, float(np.linalg.norm(b0)))
-            alpha, _ = reconstruct(g0, b0, cfg, weights, N)
-            dec = decompose(alpha, cfg, weights)
+            alpha, _ = split.reconstruct(g0, b0)
+            dec = split.decompose(alpha)
             assert np.max(np.abs(dec.b - b0)) <= 1e-6
             assert np.max(np.abs(dec.g[: deg + 1] - g0)) <= 1e-6
             assert np.max(np.abs(dec.g[deg + 1:])) <= 1e-6
@@ -304,13 +322,14 @@ def test_block_matches_column_calls():
     N, T = 512, 4
     g0 = rng.standard_normal((9, T)) + 1j * rng.standard_normal((9, T))
     b0 = rng.standard_normal((3, T)) + 1j * rng.standard_normal((3, T))
-    alpha, taylor = reconstruct(g0, b0, cfg, weights, N)
-    dec = decompose(alpha, cfg, weights)
+    split = Splitting(cfg, weights, N)
+    alpha, taylor = split.reconstruct(g0, b0)
+    dec = split.decompose(alpha)
     assert alpha.shape == taylor.shape == dec.g.shape == (N, T)
     assert dec.b.shape == (3, T)
     for t in range(T):
-        alpha_t, taylor_t = reconstruct(g0[:, t], b0[:, t], cfg, weights, N)
-        dec_t = decompose(alpha_t, cfg, weights)
+        alpha_t, taylor_t = split.reconstruct(g0[:, t], b0[:, t])
+        dec_t = split.decompose(alpha_t)
         assert np.max(np.abs(alpha[:, t] - alpha_t)) <= 1e-12
         assert np.max(np.abs(taylor[:, t] - taylor_t)) <= 1e-12
         assert np.max(np.abs(dec.g[:, t] - dec_t.g)) <= 1e-12
@@ -322,12 +341,12 @@ def test_block_matches_column_calls():
 @pytest.mark.parametrize("nb", [1, 3])
 def test_reconstruct_rejects_wrong_loading_count(cfg_pm1, harm1, nb):
     with pytest.raises(ValueError, match=r"b \(%d,\)" % nb):
-        reconstruct(np.ones(2), np.ones(nb), cfg_pm1, harm1, 64)
+        Splitting(cfg_pm1, harm1, 64).reconstruct(np.ones(2), np.ones(nb))
 
 
 def test_decompose_rejects_short_prefix(cfg_pm1, harm1):
     with pytest.raises(ValueError, match=r"shape \(100,\)"):
-        decompose(np.ones(100), cfg_pm1, harm1, N=128)
+        Splitting(cfg_pm1, harm1, 128).decompose(np.ones(100))
 
 
 def test_decompose_matches_dense_triangular_oracle():
@@ -361,6 +380,6 @@ def test_decompose_matches_dense_triangular_oracle():
         g = solve_triangular(Lhat, L @ (alpha - kappa @ b), lower=True,
                              unit_diagonal=True)
         tol = 1e-14 * np.linalg.cond(H) ** 2
-        dec = decompose(alpha[:, 0] if T == 1 else alpha, cfg, weights)
+        dec = Splitting(cfg, weights, N).decompose(alpha[:, 0] if T == 1 else alpha)
         assert np.max(np.abs(dec.b.reshape(b.shape) - b)) <= tol * np.max(np.abs(b))
         assert np.max(np.abs(dec.g.reshape(g.shape) - g)) <= tol * np.max(np.abs(g))

@@ -10,7 +10,6 @@ from bandkern import (
     beta_coefficients,
     constant_expansion,
     eval_f_prefix,
-    h2_coeffs,
     mz_norm_report,
     polynomial_membership,
 )
@@ -64,12 +63,13 @@ def test_mz_series_multiplication_oracle():
         cfg = random_rational_config(rng, J_max=3)
         weights = WeightSequence.harmonic(float(rng.uniform(0.5, 2)), 2.0)
         N = 48
+        L = BasisBand(cfg, weights, N)
         for n in (0, 3, 10):
             e_n = np.zeros(N)
             e_n[n] = 1.0
-            lhs = np.roll(h2_coeffs(e_n, cfg, weights), 1)  # z * f_n
+            lhs = np.roll(L.matvec(e_n), 1)  # z * f_n
             lhs[0] = 0.0
-            rhs = h2_coeffs(mz_apply(e_n, cfg, weights), cfg, weights)
+            rhs = L.matvec(mz_apply(e_n, cfg, weights))
             keep = N - cfg.J - 1
             assert np.max(np.abs(lhs[:keep] - rhs[:keep])) <= 1e-10
 
@@ -147,9 +147,10 @@ def test_multiplication_consistency_random_alpha(cfg_pm1, harm1):
     N = 256
     alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     alpha /= np.linalg.norm(alpha)
-    shifted = np.roll(h2_coeffs(alpha, cfg_pm1, harm1), 1)
+    L = BasisBand(cfg_pm1, harm1, N)
+    shifted = np.roll(L.matvec(alpha), 1)
     shifted[0] = 0.0
-    via_mz = h2_coeffs(mz_apply(alpha, cfg_pm1, harm1), cfg_pm1, harm1)
+    via_mz = L.matvec(mz_apply(alpha, cfg_pm1, harm1))
     keep = N - cfg_pm1.J - 1
     assert np.max(np.abs(shifted[:keep] - via_mz[:keep])) <= 1e-9
 
