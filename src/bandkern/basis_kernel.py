@@ -10,9 +10,11 @@ bound on the discarded tail.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,6 +38,7 @@ DIVERGING = "diverging"
 
 _N_CAP = 1 << 23          # refuse direct sums beyond this many terms
 _U = 2.0 ** -53           # unit roundoff of float64
+_INTERIOR_SPARE = 64      # terms an interior sum computes past its first N
 
 
 @dataclass(frozen=True)
@@ -89,34 +92,82 @@ def eval_f_prefix(N: int, z, cfg: BoundaryConfig, weights: WeightSequence,
     """f_n(z) for n = start..start+N-1, vectorized, at any z of the closed
     disk or a boundary root.
 
-    At a boundary root the cancellation-free factorization
+    Away from the roots z^n is taken in polar form, |z|^n e^{i n theta} with
+    theta = arg z (``phase_powers``): a real power and one complex
+    exponential per element, where numpy's complex power goes through a
+    complex log and exp.  The rounding of |z| and theta makes either form
+    accurate to about n u relative (u the unit roundoff).  At a boundary
+    root the cancellation-free factorization
     f_n(z_j) = z_j^n * (1 - a_n) * phi_j(a_n z_j) is used, where phi_j drops
     the vanishing factor of phi, and z_j^n comes from ``root_powers``, which
     does not drift with n.
     """
-    z = complex(z)
     n = np.arange(start, start + N)
-    a = weights.a(n)
-    j = _special_index(z, cfg)
-    if j is None:
-        return z ** n * _poly_at_scaled(beta_coefficients(cfg), z, a)
-    red = phi_reduced(cfg, j)
-    one_minus = weights.one_minus_a(n)
-    return root_powers(cfg, j, n) * one_minus * _poly_at_scaled(red, z, a)
+    return _BasisPoint(complex(z), cfg).terms(n, weights.a(n), weights)[0]
 
 
-def _poly_at_scaled(coeffs: np.ndarray, z: complex, a: np.ndarray) -> np.ndarray:
-    """p(a * z) for the ascending coefficients of p and an array of
-    scalings a (Horner in a)."""
-    acc = np.full(a.shape, coeffs[-1] * z ** (len(coeffs) - 1), dtype=complex)
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * a + coeffs[k] * z ** k
+class _BasisPoint:
+    """One point z for the evaluation of f_n(z) over batches of indices n.
+
+    The polynomial p (phi, or phi_j at a root z_j) is held with its
+    coefficients c_k scaled by z, p(a z) = sum_k (c_k z^k) a^k, and for the
+    majorant with their moduli scaled by |z|; each is formed once per point.
+    A caller that holds phi's coefficients passes them as ``beta``.
+    """
+
+    def __init__(self, z: complex, cfg: BoundaryConfig,
+                 beta: Optional[np.ndarray] = None):
+        self.j = _special_index(z, cfg)
+        if self.j is None:
+            self.coeffs = beta if beta is not None else beta_coefficients(cfg)
+            self.radius, self.theta = abs(z), cmath.phase(z)
+        else:
+            self.coeffs, self.radius, self.cfg = phi_reduced(cfg, self.j), 1.0, cfg
+        self.scaled = [c * z ** k for k, c in enumerate(self.coeffs)]
+
+    @cached_property
+    def abs_scaled(self) -> list:
+        # the moduli by np.abs over the array: its last bit can differ from
+        # the scalar abs, and the root-pair allowances are read from these
+        return [c * self.radius ** k for k, c in enumerate(np.abs(self.coeffs))]
+
+    def terms(self, n: np.ndarray, a: np.ndarray, weights: WeightSequence,
+              abs_a: Optional[np.ndarray] = None) -> tuple:
+        """(f_n(z), M_n) for the indices n with weights a = a_n.  Given
+        abs_a = |a_n|, M_n >= |f_n(z)| is the polynomial evaluated with its
+        coefficients and arguments taken in modulus; otherwise M_n is None."""
+        majorant = None
+        if self.j is None:
+            rn = self.radius ** n
+            f = rn * phase_powers(None, self.theta, n) * _horner(self.scaled, a)
+            if abs_a is not None:
+                majorant = rn * _horner(self.abs_scaled, abs_a)
+        else:
+            one_minus = weights.one_minus_a(n)
+            f = (root_powers(self.cfg, self.j, n) * one_minus
+                 * _horner(self.scaled, a))
+            if abs_a is not None:
+                majorant = np.abs(one_minus) * _horner(self.abs_scaled, abs_a)
+        return f, majorant
+
+
+def _horner(coeffs: list, a: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] a^k for an array a (Horner in a, in place); a
+    constant polynomial gives its scalar."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    acc = coeffs[-1] * a
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= a
+    acc += coeffs[0]
     return acc
 
 
-def _coeff_abs_bound(cfg: BoundaryConfig, weights: WeightSequence) -> float:
-    """Uniform bound on |phi(a_n z)| over n and |z| <= 1."""
-    beta = np.abs(beta_coefficients(cfg))
+def _coeff_abs_bound(beta: np.ndarray, weights: WeightSequence) -> float:
+    """Uniform bound on |phi(a_n z)| over n and |z| <= 1, for the
+    coefficients beta of phi."""
+    beta = np.abs(beta)
     a_sup = weights.a_sup()
     return float(np.sum(beta * a_sup ** np.arange(len(beta))))
 
@@ -169,13 +220,14 @@ def kernel_eval(z, w, cfg: BoundaryConfig, weights: WeightSequence,
             return _kernel_abel_pair(jz, jw, cfg, weights, tol)
         return _kernel_closed_pair(jz, jw, q, cfg, weights, tol)
 
-    c_sup = _coeff_abs_bound(cfg, weights)
+    beta = beta_coefficients(cfg)
+    c_sup = _coeff_abs_bound(beta, weights)
     r = (abs(z) if kz == "interior" else 1.0) * (abs(w) if kw == "interior" else 1.0)
 
     def pick(allowance):
         # smallest N with C^2 r^N / (1 - r) + allowance <= tol
         if r == 0.0:
-            return len(beta_coefficients(cfg)), 0.0, 0.0
+            return len(beta), 0.0, 0.0
         N = max(8, int(math.ceil(
             math.log((tol - allowance) * (1 - r) / c_sup ** 2) / math.log(r))))
         while c_sup ** 2 * r ** N / (1 - r) + allowance > tol:
@@ -184,31 +236,23 @@ def kernel_eval(z, w, cfg: BoundaryConfig, weights: WeightSequence,
             raise TruncationError(f"interior kernel sum needs {N} terms")
         return N, c_sup ** 2 * r ** N / (1 - r), 0.0
 
-    return _budgeted_sum(pick, lambda n: _pair_terms(n, z, w, cfg, weights),
-                         cfg.J, tol)
+    pz = _BasisPoint(z, cfg, beta)
+    pw = pz if w == z else _BasisPoint(w, cfg, beta)
+    # charging the allowance moves this N by a few terms: compute them along
+    return _budgeted_sum(pick, lambda n: _pair_terms(n, pz, pw, weights),
+                         cfg.J, tol, spare=_INTERIOR_SPARE)
 
 
-def _pair_terms(n: np.ndarray, z: complex, w: complex, cfg: BoundaryConfig,
+def _pair_terms(n: np.ndarray, pz: _BasisPoint, pw: _BasisPoint,
                 weights: WeightSequence) -> tuple:
     """The summands f_n(z) conj(f_n(w)) of K(z, w) for the consecutive
-    indices n, and their majorants M_n(z) M_n(w)."""
-    fz = eval_f_prefix(len(n), z, cfg, weights, start=n[0])
-    fw = fz if w == z else eval_f_prefix(len(n), w, cfg, weights, start=n[0])
-    return fz * np.conj(fw), _f_majorant(n, z, cfg, weights) * _f_majorant(
-        n, w, cfg, weights)
-
-
-def _f_majorant(n: np.ndarray, z: complex, cfg: BoundaryConfig,
-                weights: WeightSequence) -> np.ndarray:
-    """M_n >= |f_n(z)| for the indices n: the polynomial eval_f_prefix
-    evaluates, with its coefficients and arguments taken in modulus."""
-    a = np.abs(weights.a(n))
-    j = _special_index(z, cfg)
-    if j is None:
-        absphi = np.abs(beta_coefficients(cfg))
-        return abs(z) ** n * _poly_at_scaled(absphi, abs(z), a).real
-    absphi = np.abs(phi_reduced(cfg, j))
-    return np.abs(weights.one_minus_a(n)) * _poly_at_scaled(absphi, 1.0, a).real
+    indices n, and their majorants M_n(z) M_n(w), in one pass: a_n and
+    |a_n| are formed once for both points."""
+    a = weights.a(n)
+    abs_a = np.abs(a)
+    fz, mz = pz.terms(n, a, weights, abs_a)
+    fw, mw = (fz, mz) if pw is pz else pw.terms(n, a, weights, abs_a)
+    return fz * np.conj(fw), mz * mw
 
 
 def _sum_allowance(terms: np.ndarray, majorant: np.ndarray, J: int) -> float:
@@ -223,12 +267,15 @@ def _sum_allowance(terms: np.ndarray, majorant: np.ndarray, J: int) -> float:
                  + 8 * (J + 1) * float(np.sum(majorant)))
 
 
-def _budgeted_sum(pick, terms_of, J: int, tol: float) -> KernelValue:
+def _budgeted_sum(pick, terms_of, J: int, tol: float,
+                  spare: int = 0) -> KernelValue:
     """Sum the terms t_n, n < N, where terms_of(n) = (t_n, M_n) for an index
     array n and N = pick(allowance)[0] keeps the truncation and Abel parts
     plus the rounding allowance within tol.  The allowance is read from the
     terms themselves, so N is re-picked against it until it no longer
-    grows; a larger N only extends the terms already computed."""
+    grows; a larger N only extends the terms already computed.  Each batch
+    computes ``spare`` terms past N, so a re-pick that grows N by no more
+    than that needs no new batch; only the first N terms are summed."""
     allowance = 0.0
     terms = majorant = np.zeros(0)
     while True:
@@ -237,11 +284,11 @@ def _budgeted_sum(pick, terms_of, J: int, tol: float) -> KernelValue:
                 f"rounding allowance {allowance:.3g} alone exceeds tol {tol:.3g}")
         N, trunc, abel = pick(allowance)
         if N > len(terms):
-            t, m = terms_of(np.arange(len(terms), N))
+            t, m = terms_of(np.arange(len(terms), N + spare))
             terms, majorant = np.concatenate((terms, t)), np.concatenate((majorant, m))
-        rounding = _sum_allowance(terms, majorant, J)
+        rounding = _sum_allowance(terms[:N], majorant[:N], J)
         if rounding <= allowance:
-            return KernelValue(complex(np.sum(terms)), N, "explicit",
+            return KernelValue(complex(np.sum(terms[:N])), N, "explicit",
                                tail_truncation=trunc, tail_abel=abel,
                                tail_rounding=rounding)
         allowance = rounding
@@ -273,8 +320,9 @@ def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
     T = len(weights.values)
     value, rounding = 0.0j, 0.0
     if T:
-        head, majorant = _pair_terms(np.arange(T), cfg.roots[i], cfg.roots[j],
-                                     cfg, weights)
+        pz = _BasisPoint(cfg.roots[i], cfg)
+        pw = pz if i == j else _BasisPoint(cfg.roots[j], cfg)
+        head, majorant = _pair_terms(np.arange(T), pz, pw, weights)
         value, rounding = complex(np.sum(head)), _sum_allowance(head, majorant, cfg.J)
     coeffs = np.convolve(_reduced_in_u(cfg, i), np.conj(_reduced_in_u(cfg, j)))
     S = weights.residue_power_sums(np.arange(len(coeffs)) + 2, d, T)
@@ -309,7 +357,8 @@ def _kernel_abel_pair(i: int, j: int, cfg: BoundaryConfig,
             if N > _N_CAP:
                 raise TruncationError("no reachable truncation certifies the tolerance")
 
-    return _budgeted_sum(pick, lambda n: _pair_terms(n, zi, zj, cfg, weights),
+    pz, pw = _BasisPoint(zi, cfg), _BasisPoint(zj, cfg)
+    return _budgeted_sum(pick, lambda n: _pair_terms(n, pz, pw, weights),
                          cfg.J, tol)
 
 

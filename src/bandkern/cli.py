@@ -26,6 +26,7 @@ import numpy as np
 from . import basis_kernel, decomposition, multiplier, recursion
 from .core import (
     MIN_TRUNCATION,
+    TOL_IDENTITY,
     BoundaryConfig,
     ConfigurationError,
     DomainError,
@@ -320,29 +321,34 @@ def _run_identities(ec: ExperimentConfig):
     for ci, cfg in enumerate(configs):
         J = cfg.J
         beta = beta_coefficients(cfg)
+        m, n, i = np.arange(3 * J + 1), np.arange(2 * J + 1), np.arange(J + 1)
+        # h[J + k] holds h_k, k = -J..3J; Louck: sum_j w_j^m / mu_j = h_{m-J+1}
         h = homogeneous_symmetric(np.arange(-J, 3 * J + 1), cfg.conjugates)
-        louck = louck_power_sum(np.arange(3 * J + 1), cfg)
-        for m in range(0, 3 * J + 1):     # h[J + k] holds h_k
-            r = abs(louck[m] - h[m + 1])
-            worst_louck = max(worst_louck, r)
-            rows.append((m, f"louck_residual_cfg{ci}", r))
-            if m >= 1:
-                s = abs(sum(beta[i] * h[J + m - i] for i in range(0, min(m, J) + 1)))
-                worst_homo = max(worst_homo, s)
-                rows.append((m, f"homogeneous_sum_residual_cfg{ci}", s))
-        # row J + k of the table holds Q_k, k = -J..2J
+        # abs per element is libm's hypot, whose last bit numpy's array abs
+        # need not match
+        louck = [abs(d) for d in louck_power_sum(m, cfg) - h[m + 1]]
+        # sum_{i <= min(m, J)} beta_i h_{m-i} = 0 for m >= 1 (h_k = 0 for k < 0)
+        homo = np.abs(h[J + m[1:, None] - i] @ beta)
+        # sum_{i <= min(n, J)} beta_i Q_{n-i}(x) = beta_{n+1} (x^{n+1} - 1),
+        # the right side 0 for n >= J, at 5 random x per n; row J + k of
+        # the table holds Q_k, k = -J..2J
+        u = rng.uniform(-1, 1, size=(2 * J + 1, 5, 2)) / math.sqrt(2)
+        x = u[..., 0] + 1j * u[..., 1]
         q = decomposition.q_coefficients(np.arange(-J, 2 * J + 1), cfg)
-        for n in range(0, 2 * J + 1):
-            k = min(n, J)
-            u = rng.uniform(-1, 1, size=(5, 2)) / math.sqrt(2)
-            x = u[:, 0] + 1j * u[:, 1]
-            qx = q[J + n - k: J + n + 1][::-1] @ x ** np.arange(J + 1)[:, None]
-            target = beta[n + 1] * (x ** (n + 1) - 1) if n + 1 <= J else 0.0
-            r = float(np.max(np.abs(beta[: k + 1] @ qx - target)))
-            worst_q = max(worst_q, r)
-            rows.append((n, f"q_recursion_residual_cfg{ci}", r))
-    tol = 1e-9
-    ok = worst_louck <= tol and worst_homo <= tol and worst_q <= tol
+        qx = q[J + n[:, None] - i] @ np.swapaxes(x[..., None] ** i, 1, 2)
+        lhs = (np.where(i <= n[:, None], beta, 0.0)[:, None, :] @ qx)[:, 0]
+        target = np.zeros_like(lhs)
+        target[:J] = beta[1:, None] * (x[:J] ** (n[:J, None] + 1) - 1)
+        resid = np.max(np.abs(lhs - target), axis=1)
+        for k in m:
+            rows.append((int(k), f"louck_residual_cfg{ci}", louck[k]))
+            if k >= 1:
+                rows.append((int(k), f"homogeneous_sum_residual_cfg{ci}", homo[k - 1]))
+        rows += [(int(k), f"q_recursion_residual_cfg{ci}", r) for k, r in zip(n, resid)]
+        worst_louck = max(worst_louck, float(np.max(louck)))
+        worst_homo = max(worst_homo, float(np.max(homo)))
+        worst_q = max(worst_q, float(np.max(resid)))
+    ok = max(worst_louck, worst_homo, worst_q) <= TOL_IDENTITY
     meas = {"max_louck_residual": worst_louck,
             "max_homogeneous_sum_residual": worst_homo,
             "max_q_recursion_residual": worst_q}

@@ -127,6 +127,9 @@ class BoundaryConfig:
         return tuple(z.conjugate() for z in self.roots)
 
 
+_EXACT_DENOMINATOR = 1 << 30     # q*m is reduced exactly for q's below it
+
+
 def phase_powers(q: Optional[Fraction], theta: float, exponents) -> np.ndarray:
     """exp(i*theta*m) for integer exponents m, one complex exponential each.
 
@@ -135,18 +138,32 @@ def phase_powers(q: Optional[Fraction], theta: float, exponents) -> np.ndarray:
     floating-point powers.
     """
     m = np.asarray(exponents, dtype=np.int64)
-    if q is not None:
-        num, den = q.numerator % q.denominator, q.denominator
-        if den <= (1 << 30):
-            frac = ((m % den) * num) % den
-            return np.exp(2j * np.pi * frac / den)
+    if q is not None and q.denominator <= _EXACT_DENOMINATOR:
+        return _reduced_phases(q.numerator % q.denominator, q.denominator, m)
     return np.exp(1j * theta * m)
 
 
-def root_powers(cfg: BoundaryConfig, j: int, exponents) -> np.ndarray:
-    """z_j^m for an array of (possibly negative) integer exponents."""
-    q = cfg.angles[j] if cfg.angles is not None else None
-    return phase_powers(q, np.angle(cfg.roots[j]), exponents)
+def _reduced_phases(num, den, m: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*num*m/den) with num*m reduced mod den in integers; num
+    and den (0 <= num < den <= _EXACT_DENOMINATOR) broadcast against m."""
+    return np.exp(2j * np.pi * (((m % den) * num) % den) / den)
+
+
+def root_powers(cfg: BoundaryConfig, j: Optional[int], exponents) -> np.ndarray:
+    """z_j^m for an array of (possibly negative) integer exponents.  With j
+    None, z_j^m for every root j along a new last axis, in one broadcast."""
+    if j is not None:
+        q = cfg.angles[j] if cfg.angles is not None else None
+        return phase_powers(q, np.angle(cfg.roots[j]), exponents)
+    m = np.asarray(exponents, dtype=np.int64)[..., None]
+    if cfg.angles is None:
+        return np.exp(1j * np.angle(np.asarray(cfg.roots)) * m)
+    if max(q.denominator for q in cfg.angles) > _EXACT_DENOMINATOR:
+        return np.stack([root_powers(cfg, k, exponents) for k in range(cfg.J)],
+                        axis=-1)
+    num = np.array([q.numerator % q.denominator for q in cfg.angles])
+    den = np.array([q.denominator for q in cfg.angles])
+    return _reduced_phases(num, den, m)
 
 
 def _linear_product(ws) -> np.ndarray:
@@ -282,15 +299,14 @@ def homogeneous_symmetric(k, points: Sequence[complex]):
     prod_j (1 - x_j t); the brute-force monomial sum lives only in the tests.
     """
     ks = np.asarray(k)
-    gamma = _linear_product(points)
-    h = np.zeros(max(int(np.max(ks)), 0) + 1, dtype=complex)
-    h[0] = 1.0
-    for m in range(1, len(h)):
+    gamma = _linear_product(points).tolist()    # Python complex scalars
+    h = [1.0 + 0j]
+    for m in range(1, max(int(np.max(ks)), 0) + 1):
         acc = 0.0 + 0j
         for i in range(1, min(m, len(gamma) - 1) + 1):
             acc -= gamma[i] * h[m - i]
-        h[m] = acc
-    out = np.where(ks >= 0, h[np.maximum(ks, 0)], 0.0)
+        h.append(acc)
+    out = np.where(ks >= 0, np.array(h)[np.maximum(ks, 0)], 0.0)
     return complex(out) if out.ndim == 0 else out
 
 

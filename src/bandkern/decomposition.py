@@ -50,8 +50,7 @@ def q_coefficients(ns, cfg: BoundaryConfig) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     beta, k = beta_coefficients(cfg), np.arange(cfg.J + 1)
     # w_j^m = conj(z_j^m), exact in the phase for rational angles
-    W = np.stack([np.conj(root_powers(cfg, j, cfg.J + ns))
-                  for j in range(cfg.J)], axis=-1)
+    W = np.conj(root_powers(cfg, None, cfg.J + ns))
     P = np.stack([beta * complex(z) ** k for z in cfg.roots])
     return (W / np.asarray(mu_weights(cfg))) @ P
 

@@ -50,6 +50,8 @@ class ExpansionReport:
 
 
 def _l2_checkpoints(coeffs: np.ndarray):
+    """Running l2 norms of the first m coefficients at m = 16, 32, ... below
+    len(coeffs) and at len(coeffs)."""
     N = len(coeffs)
     checks = []
     m = 16
@@ -72,7 +74,8 @@ def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
                           weights: WeightSequence) -> ExpansionReport:
     """Candidate basis coefficients alpha_0..alpha_N of the polynomial with
     ascending coefficients ``coeffs`` by banded forward substitution of its
-    Taylor coefficients, with the l2 verdict on them.
+    Taylor coefficients, with the running l2 norms of the first m of them at
+    checkpoints m ending at N, and the l2 verdict on them.
 
     The unit diagonal of the basis matrix determines the coefficients
     uniquely; membership is alpha in l2 (recursion._l2_verdict).  The
@@ -84,7 +87,7 @@ def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
     taylor = np.zeros(N + 1, dtype=complex)
     taylor[: len(coeffs)] = coeffs
     alpha = BasisBand(cfg, weights, N + 1).solve(taylor)
-    checks, norms = _l2_checkpoints(alpha)
+    checks, norms = _l2_checkpoints(alpha[:N])
     return ExpansionReport(alpha, checks, norms, *_l2_verdict(alpha))
 
 

@@ -95,6 +95,40 @@ def test_eval_f_prefix_at_root_matches_mpmath():
                 assert abs(f[n] - complex(true)) <= 1e-14 * abs(complex(true))
 
 
+@pytest.mark.parametrize("radius", [0.99, 0.999])
+@pytest.mark.parametrize("z_unit", [
+    -1.0 + 0.0j,                                  # negative real z
+    complex(math.cos(math.pi - 1e-9), math.sin(math.pi - 1e-9)),
+    complex(math.cos(1e-6 - math.pi), math.sin(1e-6 - math.pi)),
+    complex(math.cos(2.3), math.sin(2.3)),
+    complex(math.cos(-0.4), math.sin(-0.4)),
+])
+def test_eval_f_prefix_near_boundary_matches_mpmath(radius, z_unit):
+    # f_n(z) = z^n phi(a_n z) at 30 digits, the float z taken as exact.
+    # Tolerance: z^n carries about n u relative from the rounding of |z|
+    # and arg z (for any way of forming it), and Horner's rule about
+    # 2 (J + 1) u of the majorant M_n = |z|^n sum_k |beta_k| |a_n z|^k;
+    # the test allows 4 (n + 2 (J + 1)) u M_n, u = 2^-53
+    cfg = BoundaryConfig.from_angles(["1/7", "2/5", "5/9"])
+    weights = WeightSequence.harmonic(0.75, 2.0)
+    z = radius * z_unit
+    ns = (0, 1, 2, 100, 1000, 4095, 8191, 16383, 16384)
+    f = eval_f_prefix(ns[-1] + 1, z, cfg, weights)
+    beta = np.abs(beta_coefficients(cfg))
+    with mpmath.workdps(30):
+        conj_roots = [mpmath.expjpi(-2 * mpmath.mpf(q.numerator) / q.denominator)
+                      for q in cfg.angles]
+        for n in ns:
+            a = 1 - mpmath.mpf(0.75) / (n + 2)
+            true = mpmath.mpc(z) ** n
+            for w in conj_roots:
+                true *= 1 - w * a * mpmath.mpc(z)
+            az = float(a) * abs(z)
+            majorant = abs(z) ** n * sum(b * az ** k for k, b in enumerate(beta))
+            tol = 4 * (n + 2 * (cfg.J + 1)) * 2.0 ** -53 * majorant
+            assert abs(f[n] - complex(true)) <= tol
+
+
 # --- kernel evaluation ---------------------------------------------------------
 
 def test_kernel_at_origin(cfg_pm1, harm1):

@@ -231,6 +231,99 @@ def test_identities_run(tmp_path):
     assert any(b < a for a, b in zip(q, q[1:]))
 
 
+def _identity_rows_by_loops(seed, cfg):
+    """The rows of an identities run with root angles cfg, by per-m and
+    per-n loops on the same draws of the generator, each with the scale
+    sum |term| of the sums that form it (None for the Louck rows)."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(seed)
+    configs = [cfg]
+    for _ in range(10):
+        J = int(rng.integers(1, 7))
+        while True:
+            qs = [Fraction(int(rng.integers(0, 24)), 24) for _ in range(J)]
+            if len(set(qs)) == J:
+                break
+        configs.append(core.BoundaryConfig.from_angles(qs))
+    rows = []
+    for ci, cfg in enumerate(configs):
+        J = cfg.J
+        beta = core.beta_coefficients(cfg)
+        h = core.homogeneous_symmetric(np.arange(-J, 3 * J + 1), cfg.conjugates)
+        louck = core.louck_power_sum(np.arange(3 * J + 1), cfg)
+        for m in range(0, 3 * J + 1):
+            rows.append((m, f"louck_residual_cfg{ci}", abs(louck[m] - h[m + 1]),
+                         None))
+            if m >= 1:
+                terms = [beta[i] * h[J + m - i] for i in range(min(m, J) + 1)]
+                rows.append((m, f"homogeneous_sum_residual_cfg{ci}",
+                             abs(sum(terms)), sum(map(abs, terms))))
+        q = decomposition.q_coefficients(np.arange(-J, 2 * J + 1), cfg)
+        for n in range(0, 2 * J + 1):
+            k = min(n, J)
+            u = rng.uniform(-1, 1, size=(5, 2)) / math.sqrt(2)
+            x = u[:, 0] + 1j * u[:, 1]
+            powers = x ** np.arange(J + 1)[:, None]
+            qx = q[J + n - k: J + n + 1][::-1] @ powers
+            target = beta[n + 1] * (x ** (n + 1) - 1) if n + 1 <= J else 0.0
+            scale = (np.abs(beta[: k + 1]) @ (np.abs(q[J + n - k: J + n + 1][::-1])
+                                              @ np.abs(powers)) + np.abs(target))
+            rows.append((n, f"q_recursion_residual_cfg{ci}",
+                         float(np.max(np.abs(beta[: k + 1] @ qx - target))),
+                         float(np.max(scale))))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7])
+def test_identities_rows_match_loop_reference(tmp_path, seed):
+    # same rows in the same order.  The Louck residuals are formed by the
+    # same arithmetic and must be equal; the other two sum up to J + 1
+    # products (of up to J + 1 products) in another order, so each may
+    # move by 4 (J + 1) u times the sum of the moduli of its terms, J <= 6
+    cfgp = write_config(
+        tmp_path, "ids_ref.json",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="identities", truncations=[64], seed=seed,
+    )
+    prefix = str(tmp_path / "ids_ref_out")
+    assert run(cfgp, out=prefix) == 0
+    got = [line.split(",") for line in
+           open(prefix + ".series.csv").read().splitlines()[1:]]
+    want = _identity_rows_by_loops(
+        seed, core.BoundaryConfig.from_angles(["0", "1/3", "2/3"]))
+    assert [(int(r[1]), r[2]) for r in got] == [(m, name) for m, name, _, _ in want]
+    for r, (_, _, value, scale) in zip(got, want):
+        if scale is None:
+            assert float(r[3]) == value
+        else:
+            assert abs(float(r[3]) - value) <= 4 * 7 * 2.0 ** -53 * scale
+
+
+def test_identities_verdict_fails_on_a_broken_identity(tmp_path, monkeypatch):
+    # Louck's power sums moved by 1e-6 break one identity by far more than
+    # the 1e-9 the verdict allows
+    from bandkern import cli
+
+    monkeypatch.setattr(cli, "louck_power_sum",
+                        lambda m, cfg: core.louck_power_sum(m, cfg) + 1e-6)
+    cfgp = write_config(
+        tmp_path, "ids_bad.json",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="identities",
+        truncations=[64],
+        seed=5,
+    )
+    prefix = str(tmp_path / "ids_bad_out")
+    assert run(cfgp, out=prefix) == 0
+    summary = read_summary(prefix)
+    assert summary["verdicts"]["identities"] == "fail"
+    assert summary["measurements"]["max_louck_residual"] == pytest.approx(1e-6)
+    assert summary["measurements"]["max_homogeneous_sum_residual"] <= 1e-9
+
+
 def test_domain_run(tmp_path):
     cfgp = write_config(
         tmp_path, "dom.json",
@@ -260,6 +353,11 @@ def test_multiplier_run(tmp_path):
     summary = read_summary(prefix)
     assert summary["verdicts"]["mz_growth"] == "likely-bounded"
     assert summary["measurements"]["constant_sup_error"] <= 1e-6
+    # the const_l2 rows end at the top truncation N, not at N + 1
+    rows = [line.split(",") for line in
+            open(prefix + ".series.csv").read().splitlines()[1:]]
+    assert [int(r[1]) for r in rows if r[2] == "const_l2"] == [
+        16, 32, 64, 128, 256, 512]
 
 
 def test_plot_emission(tmp_path):

@@ -62,6 +62,21 @@ def test_root_powers_match_direct():
         assert_allclose(root_powers(cfg, j, m), cfg.roots[j] ** m, atol=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [
+    BoundaryConfig.from_angles(["1/3", "5/7", "0"]),
+    BoundaryConfig.from_points(BoundaryConfig.from_angles(["1/3", "5/7"]).roots),
+    BoundaryConfig.from_angles(["1/3", Fraction(1, (1 << 31) + 11)]),
+])
+def test_root_powers_of_every_root_are_the_per_root_powers(cfg):
+    # the one broadcast over all roots gives each root's powers bit for bit,
+    # for exact angles, points and an angle too fine to reduce in int64
+    m = np.array([[-5, -1, 0], [1, 7, 100]])
+    every = root_powers(cfg, None, m)
+    assert every.shape == m.shape + (cfg.J,)
+    for j in range(cfg.J):
+        assert np.array_equal(every[..., j], root_powers(cfg, j, m))
+
+
 # --- phi --------------------------------------------------------------------
 
 def test_phi_pm1(cfg_pm1):

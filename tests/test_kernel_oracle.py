@@ -3,6 +3,8 @@ residue split: at a pair of roots every series sum_n u_n^s rho^n is a Lerch
 transcendent Phi(rho, s, c) (mpmath.lerchphi), with u_n = 1 - a_n and
 rho = z_i conj(z_j); inside the disk the series is summed term by term."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import mpmath
@@ -93,11 +95,15 @@ def _check(kv, want, tol):
     assert abs(want - kv.value) <= kv.tail_bound <= tol
 
 
-rational_configs = st.integers(1, 4).flatmap(
-    lambda J: st.lists(
-        st.integers(1, 12).flatmap(
-            lambda den: st.integers(0, den - 1).map(lambda k: Fraction(k, den))),
-        min_size=J, max_size=J, unique=True))
+def _rational_angles(max_J):
+    return st.integers(1, max_J).flatmap(
+        lambda J: st.lists(
+            st.integers(1, 12).flatmap(
+                lambda den: st.integers(0, den - 1).map(lambda k: Fraction(k, den))),
+            min_size=J, max_size=J, unique=True))
+
+
+rational_configs = _rational_angles(4)
 
 weight_params = st.one_of(
     st.tuples(st.just("harmonic"), st.floats(0.3, 3.0)),
@@ -106,6 +112,9 @@ weight_params = st.one_of(
 
 interior = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                               allow_infinity=False)
+
+near_boundary = st.tuples(st.floats(0.95, 0.995), st.floats(-math.pi, math.pi)).map(
+    lambda polar: cmath.rect(*polar))
 
 
 def _weights(kind, p):
@@ -133,6 +142,19 @@ def test_interior_pairs_match_direct_oracle(angles, params, tol, z, w):
     kv = kernel_eval(z, w, cfg, _weights(*params), tol)
     assert kv.route == "explicit"
     _check(kv, kernel_mp(angles, z, w, *params), tol)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_rational_angles(3), weight_params, near_boundary, near_boundary)
+def test_near_boundary_interior_pairs_match_direct_oracle(angles, params, z, w):
+    # |z|, |w| in [0.95, 0.995]: sums of up to about 3500 terms.  Tolerance:
+    # the contract |oracle - value| <= tail_bound <= tol with tol = 1e-8.
+    # With J <= 3, |phi| <= 8 and sum |t_n| <= 64 / (1 - 0.995^2), so the
+    # rounding allowance u (N sum |t_n| + ...) stays near 2e-9, below tol
+    cfg = BoundaryConfig.from_angles(angles)
+    kv = kernel_eval(z, w, cfg, _weights(*params), 1e-8)
+    assert kv.route == "explicit"
+    _check(kv, kernel_mp(angles, z, w, *params), 1e-8)
 
 
 def test_table_weights_match_lerch_oracle():

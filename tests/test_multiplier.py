@@ -210,11 +210,21 @@ def test_constant_expansion_matches_dense_oracle():
 
 
 def test_constant_expansion_slow_weights_not_in_l2(cfg_cube):
-    # at p = 0.4 the coefficients of 1 decay like n^-0.4, though the running
-    # norms at the last two checkpoints, N and N + 1, differ by one term
+    # at p = 0.4 the coefficients of 1 decay like n^-0.4
     rep = constant_expansion(1024, cfg_cube, WeightSequence.harmonic(0.4, 2.0))
     assert rep.verdict == "likely-unbounded"
     assert all(abs(p - 0.4) < 0.05 for p in rep.p_hat)
+
+
+@pytest.mark.parametrize("N", [1, 100, 1024])
+def test_expansion_checkpoints_end_at_N(cfg_cube, N):
+    # the running norms are those of the first m coefficients at dyadic m
+    # from 16 below N, then m = N: no checkpoint one coefficient past N
+    rep = constant_expansion(N, cfg_cube, WeightSequence.harmonic(0.4, 2.0))
+    want = [m for m in (16, 32, 64, 128, 256, 512) if m < N] + [N]
+    assert rep.checkpoints.tolist() == want
+    assert rep.partial_norms == pytest.approx(
+        [np.linalg.norm(rep.coeffs[:m]) for m in want], rel=1e-12)
 
 
 def test_constant_expansion_validates(cfg_pm1, harm1):
