@@ -12,7 +12,19 @@ re-expansion L^-1 Lhat, z-multiplication L^-1 S L and the quotient
 encoding Lhat^-1 L, which a ``Splitting`` holds at one truncation.
 Polynomials (phi, the reduced phi_j, the boundary polynomials Q_n and the
 inputs of polynomial_membership) are ascending numpy coefficient arrays.
+
+Importing the package loads numpy only; scipy.linalg loads at the first
+band product or solve.  BLAS runs on one thread unless the caller set
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.
 """
+
+import os as _os
+
+# Before numpy loads: the band products and solves are short vector calls,
+# which BLAS threads slow down.  scipy loads later still, so its own BLAS
+# follows the setting even when the caller imported numpy first.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
 
 from .core import (
     BasisBand,

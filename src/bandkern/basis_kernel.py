@@ -26,6 +26,7 @@ from .core import (
     MIN_TRUNCATION,
     TWO_PI,
     TruncationError,
+    _U,
     WeightSequence,
     beta_coefficients,
     phase_powers,
@@ -37,7 +38,6 @@ CONVERGING = "converging"
 DIVERGING = "diverging"
 
 _N_CAP = 1 << 23          # refuse direct sums beyond this many terms
-_U = 2.0 ** -53           # unit roundoff of float64
 _INTERIOR_SPARE = 64      # terms an interior sum computes past its first N
 
 
@@ -312,7 +312,10 @@ def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
     P(u) = phi_i((1-u) z_i) conj(phi_j((1-u) z_j)) = sum_m d_m u^m, and
     S_{s,r} sums u_n^s over n = r mod d (``residue_power_sums``).  A table
     head is summed explicitly and the tail rule takes over at its end T,
-    where the residue classes pick up the factor rho^T.
+    where the residue classes pick up the factor rho^T.  ``tail_rounding``
+    charges each zeta value's remainder bound and rounding allowance
+    (``_hurwitz_zeta``) with |d_m|, and 64 u of the sum of |d_m| |S_{s,r}|
+    for the contraction over r and m.
     """
     d = q.denominator
     if d > _N_CAP:
@@ -325,10 +328,11 @@ def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
         head, majorant = _pair_terms(np.arange(T), pz, pw, weights)
         value, rounding = complex(np.sum(head)), _sum_allowance(head, majorant, cfg.J)
     coeffs = np.convolve(_reduced_in_u(cfg, i), np.conj(_reduced_in_u(cfg, j)))
-    S = weights.residue_power_sums(np.arange(len(coeffs)) + 2, d, T)
+    S, S_err = weights._residue_sums(np.arange(len(coeffs)) + 2, d, T)
     phase = phase_powers(q, TWO_PI * float(q), np.arange(T, T + d))
     value += complex(coeffs @ (S @ phase))
-    rounding += 64 * _U * float(np.abs(coeffs) @ np.sum(np.abs(S), axis=1))
+    rounding += float(np.abs(coeffs) @ (64 * _U * np.sum(np.abs(S), axis=1)
+                                        + np.sum(S_err, axis=1)))
     if not rounding <= tol:
         raise TruncationError(
             f"rounding allowance {rounding:.3g} alone exceeds tol {tol:.3g}")

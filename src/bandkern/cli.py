@@ -385,15 +385,14 @@ _RUNNERS = {
 # output
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_series(path: str, experiment: str, rows) -> None:
+    """The long-format CSV, every row formatted by one %-format and the
+    file written at once; values are printed %.17g, so they round-trip."""
+    text = ("experiment,index,quantity,value\n"
+            + f"{experiment},%s,%s,%.17g\n" * len(rows)
+            % tuple(x for row in rows for x in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("experiment,index,quantity,value\n")
-        for idx, quantity, value in rows:
-            fh.write(f"{experiment},{idx},{quantity},{_fmt(value)}\n")
+        fh.write(text)
 
 
 def _strict(obj):
@@ -408,19 +407,22 @@ def _strict(obj):
 
 
 def _write_summary(path: str, summary: dict) -> None:
+    text = json.dumps(_strict(summary), indent=2, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_strict(summary), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _diagnostic(prefix: Optional[str], code: int, kind: str, message: str) -> None:
+def _diagnostic(prefix: Optional[str], code: int, kind: str, message: str,
+                summary: Optional[dict] = None) -> None:
+    """The JSON diagnostic on stderr, and as ``<prefix>.summary.json``,
+    merged into ``summary`` when the run got that far."""
     diag = {"status": "error", "error": {"kind": kind, "message": message},
             "exit_code": code}
     sys.stderr.write(json.dumps(diag, sort_keys=True) + "\n")
     if prefix:
         try:
-            _write_summary(prefix + ".summary.json", diag)
+            _write_summary(prefix + ".summary.json", {**(summary or {}), **diag})
         except OSError:
             pass
 
@@ -461,14 +463,15 @@ def run(config_path: str, out: Optional[str] = None) -> int:
         "status": "ok",
     }
     validate_summary(summary)
-    _write_summary(prefix + ".summary.json", summary)
-
     if ec.expect_verdict is not None:
         values = set(verdicts.values())
         if "inconclusive" in values or ec.expect_verdict not in values:
+            # the summary keeps the verdicts and measurements it refused
             _diagnostic(prefix, EXIT_UNAFFIRMED, "UnaffirmedVerdict",
-                        f"expected {ec.expect_verdict!r}, got {sorted(values)}")
+                        f"expected {ec.expect_verdict!r}, got {sorted(values)}",
+                        summary)
             return EXIT_UNAFFIRMED
+    _write_summary(prefix + ".summary.json", summary)
     return EXIT_OK
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import cmath
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 TOL_UNIT = 1e-12      # |z_j| deviation from the unit circle
 TOL_SEP = 1e-9        # minimal pairwise root separation
@@ -27,6 +27,7 @@ TOL_IDENTITY = 1e-9   # default residual for the polynomial identities
 MIN_TRUNCATION = 16   # smallest truncation a growth verdict or domain report reads
 
 TWO_PI = 2.0 * math.pi
+_U = 2.0 ** -53       # unit roundoff of float64
 
 
 class ConfigurationError(ValueError):
@@ -189,6 +190,22 @@ def phi_reduced(cfg: BoundaryConfig, j: int) -> np.ndarray:
 # the band of basis Taylor coefficients
 # ---------------------------------------------------------------------------
 
+# scipy.linalg loads at the first lookup, so that ``import bandkern`` and the
+# runs that build no band (kernel values, domain reports, identities) load
+# numpy only.  Each band or ladder looks its routines up once.
+
+def get_blas_funcs(names, arrays=(), dtype=None):
+    """scipy.linalg.get_blas_funcs, importing scipy.linalg on first use."""
+    from scipy.linalg import get_blas_funcs as lookup
+    return lookup(names, arrays, dtype)
+
+
+def get_lapack_funcs(names, arrays=(), dtype=None):
+    """scipy.linalg.get_lapack_funcs, importing scipy.linalg on first use."""
+    from scipy.linalg import get_lapack_funcs as lookup
+    return lookup(names, arrays, dtype)
+
+
 class BasisBand:
     """Unit lower-triangular band L of basis Taylor coefficients.
 
@@ -336,6 +353,121 @@ def louck_power_sum(m, cfg: BoundaryConfig):
     w = np.asarray(cfg.conjugates)
     out = np.sum(w ** ms[..., None] / np.asarray(mu_weights(cfg)), axis=-1)
     return complex(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta
+# ---------------------------------------------------------------------------
+
+_ZETA_DIRECT = 10       # M: terms of a zeta sum taken directly
+_ZETA_EM = 8            # K: Euler-Maclaurin corrections after them
+_ZETA_BLOCK = 1 << 16   # elements of one (s, n, q) block of the direct terms
+_POW_ERR = 4            # np.power is taken to err by at most this many u
+
+# B_2, B_4, ..., B_{2K+2}
+_BERNOULLI_EVEN = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                   Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
+                   Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798))
+# B_{2k}/(2k)!, k = 1..K+1, each rounded once from the exact fraction
+_EM_WEIGHTS = np.array([float(b / math.factorial(2 * k))
+                        for k, b in enumerate(_BERNOULLI_EVEN, start=1)])
+
+
+def _hurwitz_zeta(s, q) -> tuple:
+    """zeta(s, q) = sum_{n >= 0} (n + q)^-s for real s > 1 and q > 0 on the
+    grid of the 1-D arrays s and q, as (value, remainder, allowance), each
+    of shape (len(s), len(q)), with |zeta(s, q) - value| <= remainder +
+    allowance.
+
+    The first M = _ZETA_DIRECT terms are summed directly.  The rest,
+    sum_{j >= 0} f(a + j) with f(x) = x^-s and a = q + M, is by
+    Euler-Maclaurin summation (DLMF 2.10.1, 25.11)
+      a^(1-s)/(s-1) + a^-s/2 + sum_{k=1..K} B_2k/(2k)! (s)_(2k-1) a^(1-s-2k) + R,
+    K = _ZETA_EM, (s)_m the rising factorial s (s+1)...(s+m-1) and the
+    Bernoulli weights B_2k/(2k)! rounded once from exact fractions.
+
+    Remainder.  f is completely monotone, (-1)^m f^(m) > 0 on (0, inf), so
+    f^(2K+2) and f^(2K+4) keep one sign on [a, inf); then R has the sign of
+    the first omitted term and is smaller in modulus (DLMF 2.10(i)):
+      |R| <= |B_(2K+2)|/(2K+2)! (s)_(2K+1) a^(-s-2K-1) = ``remainder``.
+    With M = 10 and K = 8 this stays below u zeta(s, q) (u = 2^-53) for
+    s <= 40 and q <= 1e3, so truncation never sets the error there.
+
+    Rounding allowance.  To first order in u, with every +, -, *, / erring
+    by at most u relatively and np.power by at most pi u, pi = _POW_ERR
+    (over three times the largest error of numpy's float64 power against
+    mpmath on random draws, 1.1 u):
+      - t_0 = q^-s errs by pi u; t_n = (q+n)^-s, 0 < n < M, by (s + pi) u,
+        since rounding q + n by u moves its power by s u; summing the M
+        terms into D adds (M - 1) u D;
+      - a = q + M is rounded, so a^-s errs by (s + pi) u; the leading part
+        Lead = a^-s (a/(s-1) + 1/2) picks up 5 more roundings (s - 1, the
+        division, a itself, the addition of 1/2 and the product with a^-s);
+      - the k-th correction picks up 4k - 2 roundings in its coefficient,
+        5(k - 1) + pi in a^(2-2k) (from 1/a and its square), K in the
+        matrix product over k and s + pi + 4 in the products with a^-s
+        and 1/a: at most s + 2 pi + 10K - 3 for k <= K;
+      - adding D, Lead and the corrections takes two more roundings.
+    With one more unit each for the second-order terms (below u while
+    (s + 2 pi + 10K) u stays below 1e-8, i.e. s below 1e7), and as
+    s + pi + 8 <= s + M + pi + 2,
+      allowance = u [(s + M + pi + 2) (D + Lead) - s t_0 + (s + 2 pi + 10K) C],
+    C the corrections summed in modulus.
+
+    Memory is O(len(s) len(q)): the terms are formed in blocks of q of at
+    most _ZETA_BLOCK elements.
+    """
+    s = np.asarray(s, dtype=float).reshape(-1)
+    q = np.asarray(q, dtype=float).reshape(-1)
+    if not (q.min() > 0.0 and math.isfinite(q.max())):
+        raise ValueError("Hurwitz zeta needs finite q > 0")
+    M, K, P = _ZETA_DIRECT, _ZETA_EM, len(s)
+    weights, units, s_minus_1, minus_s = _zeta_weights(s.tobytes())
+    n = np.arange(M + 1)[:, None]
+    k = np.arange(K + 1)[:, None]
+    out = np.empty((3, P, len(q)))
+    step = max(1, _ZETA_BLOCK // (P * (M + 1)))
+    for lo in range(0, len(q), step):
+        x = q[lo:lo + step] + n               # q, q+1, ..., q+M = a
+        terms = np.power(x, minus_s)          # (P, M+1, block)
+        base, inv = terms[:, M], 1.0 / x[M]
+        head = np.add.reduce(terms[:, :M], axis=1) + base * (x[M] / s_minus_1 + 0.5)
+        # signed corrections, their moduli in allowance units, first omitted
+        corr = (weights @ np.power(inv * inv, k)).reshape(3, P, -1)
+        corr *= base * inv
+        value, remainder, allowance = out[:, :, lo:lo + step]
+        np.add(head, corr[0], out=value)
+        remainder[...] = corr[2]
+        np.add(units[0] * head - units[1] * terms[:, 0], corr[1], out=allowance)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _zeta_weights(s_key: bytes) -> tuple:
+    """The parts of _hurwitz_zeta that depend on s alone, read-only: the
+    (3P, K+1) weights of a^(-2k), k <= K, whose rows give the signed
+    corrections B_2k/(2k)! (s)_(2k-1), their moduli times the allowance
+    units u (s + 2 pi + 10K) and the first omitted term; the allowance
+    units of D + Lead and of t_0; s - 1; and -s shaped for the (s, n, q)
+    terms."""
+    s = np.frombuffer(s_key)
+    if not (s.min() > 1.0 and math.isfinite(s.max())):
+        raise ValueError("Hurwitz zeta needs finite s > 1")
+    col = s[:, None]
+    K = _ZETA_EM
+    # the rising factorials (s)_(2k-1), k = 1..K+1, from one running product
+    # of s, s+1, ..., s+2K
+    coeffs = np.cumprod(col + np.arange(2 * K + 1), axis=1)[:, ::2] * _EM_WEIGHTS
+    weights = np.zeros((3, len(s), K + 1))
+    weights[0, :, :K] = coeffs[:, :K]
+    weights[1, :, :K] = _U * (col + 2 * _POW_ERR + 10 * K) * np.abs(coeffs[:, :K])
+    weights[2, :, K] = np.abs(coeffs[:, K])
+    units = _U * np.stack((col + (_ZETA_DIRECT + _POW_ERR + 2), col))
+    parts = (weights.reshape(3 * len(s), K + 1), units, col - 1.0,
+             -s[:, None, None])
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -502,18 +634,25 @@ class WeightSequence:
         Every sum converges when powers >= 2 and the weights are square
         summable.  A table's closed form starts past its last value.
         """
-        from scipy.special import zeta
+        return self._residue_sums(powers, d, start)[0]
 
+    def _residue_sums(self, powers, d: int, start: int) -> tuple:
+        """(S, E): residue_power_sums and, for each entry, the remainder
+        bound plus rounding allowance of its zeta value (``_hurwitz_zeta``)
+        carried by the same scale."""
         if self.kind == _TABLE:
             if start < len(self.values):
                 raise ValueError("the closed form starts past the table")
-            return self.tail.residue_power_sums(powers, d, start)
-        s = np.asarray(powers, dtype=float)[:, None]
+            return self.tail._residue_sums(powers, d, start)
+        s = np.asarray(powers, dtype=float)
         if self.kind == _HARMONIC:
             scale, order, c = self.p / d, s, self.offset
         else:
             scale, order, c = float(d) ** -self.p, self.p * s, 2.0
-        return scale ** s * zeta(order, (np.arange(d) + (start + c)) / d)
+        value, remainder, allowance = _hurwitz_zeta(
+            order, (np.arange(d) + (start + c)) / d)
+        scale = scale ** s[:, None]
+        return scale * value, scale * (remainder + allowance)
 
     def decay_factor_sup(self, n0: int, shift: int) -> float:
         """sup_{n >= n0} (n + shift)*|1 - a_n| / p for rate-hypothesis kinds.

@@ -24,8 +24,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import dstemr
 
 from .core import (
     BasisBand,
@@ -33,6 +31,8 @@ from .core import (
     SearchFailureError,
     WeightSequence,
     beta_coefficients,
+    get_blas_funcs,
+    get_lapack_funcs,
 )
 
 LIKELY_BOUNDED = "likely-bounded"
@@ -289,12 +289,13 @@ def _section_norm(N: int, matvec, rmatvec, dtype) -> NormEstimate:
     return _section_norm_ladder([N], lambda _: (matvec, rmatvec), dtype)[0]
 
 
-def _bidiagonalize(N: int, matvec, rmatvec, v: np.ndarray, blas) -> tuple:
-    """_section_norm's iteration from the unit start vector v, with blas the
-    BLAS (?axpy, ?gemv) of v's type.  Returns the NormEstimate and the right
-    singular vector, None when the estimate is an exact 0."""
+def _bidiagonalize(N: int, matvec, rmatvec, v: np.ndarray, routines) -> tuple:
+    """_section_norm's iteration from the unit start vector v, with routines
+    the BLAS ?axpy and ?gemv of v's type and LAPACK's dstemr.  Returns the
+    NormEstimate and the right singular vector, None when the estimate is
+    an exact 0."""
     eps = np.finfo(float).eps
-    axpy, gemv = blas
+    axpy, gemv, dstemr = routines
     p = matvec(v)
     if not np.any(p):
         return NormEstimate(N, 0.0, 0.0, 0), None
@@ -334,18 +335,19 @@ def _section_norm_ladder(N_list: Sequence[int], sections, dtype) -> list:
     """_section_norm of the leading N x N sections of one operator, N in the
     increasing N_list, each rung warm-started from the rung below as
     _section_norm describes; sections(N) gives the (matvec, rmatvec) of
-    section N.  The random draws and the BLAS routines are taken once for
-    the ladder: the first N draws of the seed-0 stream are the N draws of
-    a fresh one."""
+    section N.  The random draws and the BLAS and LAPACK routines are taken
+    once for the ladder: the first N draws of the seed-0 stream are the N
+    draws of a fresh one."""
     draws = np.random.default_rng(0).standard_normal(N_list[-1]).astype(dtype)
-    blas = get_blas_funcs(("axpy", "gemv"), dtype=dtype)
+    routines = (*get_blas_funcs(("axpy", "gemv"), dtype=dtype),
+                get_lapack_funcs("stemr", dtype=np.float64))
     estimates, v = [], None
     for N in N_list:
         start = draws[:N] / np.linalg.norm(draws[:N])
         if v is not None:
             start[: len(v)] = v
             start /= np.linalg.norm(start)
-        est, v = _bidiagonalize(N, *sections(N), start, blas)
+        est, v = _bidiagonalize(N, *sections(N), start, routines)
         estimates.append(est)
     return estimates
 

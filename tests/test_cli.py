@@ -324,6 +324,34 @@ def test_identities_verdict_fails_on_a_broken_identity(tmp_path, monkeypatch):
     assert summary["measurements"]["max_homogeneous_sum_residual"] <= 1e-9
 
 
+def test_unaffirmed_run_keeps_its_summary(tmp_path, monkeypatch, capsys):
+    # the broken identity above, asked to pass: exit 4, and the summary still
+    # holds the verdict and measurements that were refused, with the
+    # diagnostic that stderr carries
+    from bandkern import cli
+
+    monkeypatch.setattr(cli, "louck_power_sum",
+                        lambda m, cfg: core.louck_power_sum(m, cfg) + 1e-6)
+    cfgp = write_config(
+        tmp_path, "ids_bad.json",
+        roots={"angles": ["0", "1/3", "2/3"]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="identities",
+        truncations=[64],
+        seed=5,
+        expect_verdict="pass",
+    )
+    prefix = str(tmp_path / "ids_bad_out")
+    assert run(cfgp, out=prefix) == 4
+    summary = read_summary(prefix)
+    assert summary["verdicts"]["identities"] == "fail"
+    assert summary["measurements"]["max_louck_residual"] == pytest.approx(1e-6)
+    assert summary["status"] == "error" and summary["exit_code"] == 4
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == summary["error"]
+    assert diag["error"]["kind"] == "UnaffirmedVerdict"
+
+
 def test_domain_run(tmp_path):
     cfgp = write_config(
         tmp_path, "dom.json",
@@ -593,6 +621,52 @@ def test_norm_runs_leave_scipy_sparse_unimported(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
+def test_runs_without_a_band_load_no_scipy(tmp_path):
+    # kernel values (a root pair in closed form, an interior pair), domain
+    # reports and identities build no band, so they never import scipy;
+    # a containment run in the same process loads scipy.linalg when it
+    # needs it
+    roots = {"angles": ["0", "1/3", "2/3"]}
+    weights = {"kind": "harmonic", "p": 1.0, "offset": 2.0}
+    paths = [
+        write_config(tmp_path, "kern.json", roots=roots, weights=weights,
+                     experiment="kernel-eval",
+                     points=[["z1", "z2"], [{"re": 0.5}, {"im": 0.3}]]),
+        write_config(tmp_path, "dom.json", roots=roots, weights=weights,
+                     experiment="domain", truncations=[256]),
+        write_config(tmp_path, "ids.json", roots=roots, weights=weights,
+                     experiment="identities", truncations=[64]),
+        write_config(tmp_path, "cont.json", roots=roots, weights=weights,
+                     experiment="containment", truncations=[64, 128]),
+    ]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import bandkern; from bandkern.cli import run; "
+            "codes = [run(p, out=p[:-5]) for p in sys.argv[2:5]]; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(codes, loaded, run(sys.argv[5], out=sys.argv[5][:-5]))")
+    proc = subprocess.run([sys.executable, "-c", code, src, *paths],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "[]", "0"]
+
+
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_blas_threads_default_to_one(setting):
+    # importing bandkern sets one BLAS thread unless the caller chose a count
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if setting is not None:
+        env.update(dict.fromkeys(names, setting))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); import bandkern; "
+            f"print(*(os.environ[k] for k in {names!r}))")
+    proc = subprocess.run([sys.executable, "-c", code, src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [setting or "1"] * 3
 
 
 def test_points_object_is_config_error(tmp_path):

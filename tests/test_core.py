@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -16,7 +17,7 @@ from bandkern import (
     louck_power_sum,
     mu_weights,
 )
-from bandkern.core import root_powers
+from bandkern.core import _ZETA_BLOCK, _ZETA_DIRECT, _hurwitz_zeta, root_powers
 
 from conftest import (
     dense_basis_matrix,
@@ -279,6 +280,59 @@ def test_residue_power_sums_match_brute_force():
                     w.residue_power_sums(powers, 3, 3), rtol=0)
     with pytest.raises(ValueError):
         table.residue_power_sums(powers, 3, 2)
+
+
+def _zeta_reference(s: float, q: float):
+    # mpmath reaches a large q from a small one by subtracting the first
+    # terms, which cancels about s log10(q) digits: it works with that many
+    # more than the 30 kept
+    with mpmath.workdps(35 + int(s * math.log10(q + 1.0))):
+        return mpmath.zeta(mpmath.mpf(s), mpmath.mpf(q))
+
+
+def test_hurwitz_zeta_meets_its_certificate():
+    # A seeded grid over s in [1.05, 40] and q in [1e-3, 1e3], and the
+    # (s, q) of the closed form for the demo configs and the kernel
+    # workload's weights (harmonic p in {0.7, 1, 2} and powerlaw p in
+    # {0.75, 1, 2}, offset 2, residue classes of orders d <= 12, J <= 4, so
+    # s = order * (2..8) and q = (r + 2)/d).  The tolerance is the returned
+    # remainder plus allowance, nothing added; the remainder stays below
+    # u zeta, so truncation never sets the error, and the allowance within
+    # (s + 100) u zeta, so the certificate says something.
+    u = 2.0 ** -53
+    rng = np.random.default_rng(11)
+    grids = [(np.exp(rng.uniform(math.log(1.05), math.log(40.0), 16)),
+              np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 24)))]
+    q_closed = sorted({(r + 2) / d for d in range(1, 13) for r in range(d)})
+    for order in (1.0, 0.75, 2.0):
+        grids.append((order * np.arange(2, 9), np.array(q_closed)))
+    for s, q in grids:
+        value, remainder, allowance = _hurwitz_zeta(s, q)
+        assert value.shape == remainder.shape == allowance.shape == (len(s), len(q))
+        for i, si in enumerate(s):
+            for j, qj in enumerate(q):
+                ref = _zeta_reference(si, qj)
+                err = abs(mpmath.mpf(value[i, j]) - ref)
+                assert err <= remainder[i, j] + allowance[i, j], (si, qj)
+                assert remainder[i, j] <= u * ref, (si, qj)
+                assert allowance[i, j] <= (si + 100) * u * ref, (si, qj)
+
+
+def test_hurwitz_zeta_blocks_agree_with_single_calls():
+    # the terms are formed in blocks of q: a q three blocks long gives the
+    # values of calls on its pieces (to the last bit or so: the matrix
+    # product may group its sums by the block's width)
+    s = np.array([2.0, 3.5])
+    step = _ZETA_BLOCK // (len(s) * (_ZETA_DIRECT + 1))
+    q = np.linspace(1e-3, 3 * _ZETA_DIRECT, 3 * step + 5)
+    whole = np.stack(_hurwitz_zeta(s, q))
+    for lo in range(0, len(q), 977):
+        part = np.stack(_hurwitz_zeta(s, q[lo:lo + 977]))
+        assert_allclose(part, whole[:, :, lo:lo + 977], rtol=1e-15, atol=0)
+    with pytest.raises(ValueError):
+        _hurwitz_zeta([1.0], [0.5])
+    with pytest.raises(ValueError):
+        _hurwitz_zeta([2.0], [0.0, 1.0])
 
 
 def test_cube_tail_bound():
