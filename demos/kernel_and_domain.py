@@ -17,10 +17,19 @@ weights = WeightSequence.harmonic(1.0, 2.0)
 print("kernel values, each with a certified bound on the discarded tail:")
 for z, w in [(0.0, 0.0), (0.5, 0.25), (1.0, 0.5), (1.0, 1.0)]:
     kv = kernel_eval(z, w, cfg, weights, tol=1e-10)
-    how = (f"closed form over {kv.rho_order} residue class(es)"
-           if kv.route == "closed_form" else f"{kv.truncation_n} terms")
     print(f"  K({z}, {w}) = {kv.value:.12f}   "
-          f"(tail <= {kv.tail_bound:.1e}, {how})")
+          f"(tail <= {kv.tail_bound:.1e}, {kv.route}, "
+          f"{kv.truncation_n} terms summed directly)")
+
+# two distinct roots: an Euler transform of the strided tail, the same
+# series whether the roots come as exact angles or as points
+cube = BoundaryConfig.from_angles(["0", "1/3", "2/3"])
+as_points = BoundaryConfig.from_points(cube.roots)
+for label, roots in [("angles", cube), ("points", as_points)]:
+    kv = kernel_eval(roots.roots[0], roots.roots[1], roots, weights, tol=1e-10)
+    print(f"  cube roots as {label}: K(z1, z2) = {kv.value:.12f}   "
+          f"(tail <= {kv.tail_bound:.1e}, {kv.route}, "
+          f"{kv.truncation_n} terms summed directly)")
 
 print()
 print("K(1,1) has the closed form pi^2/6 - 1 =", np.pi ** 2 / 6 - 1)

@@ -13,12 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .core import (
     BoundaryConfig,
@@ -26,8 +24,10 @@ from .core import (
     MIN_TRUNCATION,
     TWO_PI,
     TruncationError,
+    _N_CAP,
     _U,
     WeightSequence,
+    _dyadic_checkpoints,
     beta_coefficients,
     phase_powers,
     phi_reduced,
@@ -37,7 +37,6 @@ from .core import (
 CONVERGING = "converging"
 DIVERGING = "diverging"
 
-_N_CAP = 1 << 23          # refuse direct sums beyond this many terms
 _INTERIOR_SPARE = 64      # terms an interior sum computes past its first N
 
 
@@ -45,25 +44,23 @@ _INTERIOR_SPARE = 64      # terms an interior sum computes past its first N
 class KernelValue:
     """A kernel value and how its error budget was spent.
 
-    ``route`` is "closed_form" (a pair of roots whose rho = z_i conj(z_j)
-    has known order ``rho_order``) or "explicit" (a truncated sum);
-    ``truncation_n`` counts the terms summed explicitly.  ``tail_bound`` is
-    the sum of three parts: the discarded tail (``tail_truncation``), the
-    Abel estimate of the constant part at roots of unknown rho order
-    (``tail_abel``) and the floating-point allowance (``tail_rounding``).
+    ``route`` is "closed_form" for a root with itself (Hurwitz zeta values),
+    "euler" for two distinct roots (an Euler transform of the strided tail)
+    and "explicit" for a truncated sum, with a point inside the disk.
+    ``truncation_n`` counts the terms summed directly; ``tail_bound`` is the
+    remainder of the discarded tail (``tail_truncation``) plus the
+    floating-point allowance (``tail_rounding``).
     """
 
     value: complex
     truncation_n: int
     route: str
-    rho_order: Optional[int] = None
     tail_truncation: float = 0.0
-    tail_abel: float = 0.0
     tail_rounding: float = 0.0
 
     @property
     def tail_bound(self) -> float:
-        return self.tail_truncation + self.tail_abel + self.tail_rounding
+        return self.tail_truncation + self.tail_rounding
 
 
 def _special_index(z: complex, cfg: BoundaryConfig) -> Optional[int]:
@@ -172,33 +169,11 @@ def _coeff_abs_bound(beta: np.ndarray, weights: WeightSequence) -> float:
     return float(np.sum(beta * a_sup ** np.arange(len(beta))))
 
 
-def _lipschitz_pair_bound(cfg: BoundaryConfig, i: int, j: int,
-                          weights: WeightSequence) -> float:
-    """Lipschitz constant of a -> phi_i(a z_i) * conj(phi_j(a z_j)) near a = 1."""
-    a_sup = weights.a_sup()
-
-    def sup_and_slope(coeffs):
-        c = np.abs(coeffs)
-        k = np.arange(len(c))
-        return float(np.sum(c * a_sup ** k)), float(np.sum(k * c * a_sup ** k))
-
-    si, di = sup_and_slope(phi_reduced(cfg, i))
-    sj, dj = sup_and_slope(phi_reduced(cfg, j))
-    return di * sj + si * dj
-
-
 def kernel_eval(z, w, cfg: BoundaryConfig, weights: WeightSequence,
                 tol: float = 1e-8) -> KernelValue:
-    """K(z, w) with |true - value| <= tail_bound <= tol.
-
-    Interior arguments use the geometric majorant C^2 r^N/(1-r) with
-    r = |z| |w|.  A pair of boundary roots sums
-    u_n^2 P(u_n) rho^n, u_n = 1 - a_n and rho = z_i conj(z_j), in closed
-    form when the order of rho is known (always on the diagonal, and for
-    configurations given by rational angles); otherwise a truncated sum
-    bounds the rest by a cubic remainder plus an Abel estimate.  Explicit
-    sums keep their rounding allowance (``_sum_allowance``) inside tol as
-    well.
+    """K(z, w) with |true - value| <= tail_bound <= tol: at a pair of roots
+    from the tail rule of the weights (``_kernel_root_pair``), otherwise by
+    a truncated sum under a geometric majorant (``_kernel_interior``).
 
     Raises DomainError outside the natural domain and TruncationError when
     no convergent majorant exists (e.g. powerlaw weights with p <= 1/2 at a
@@ -212,35 +187,46 @@ def kernel_eval(z, w, cfg: BoundaryConfig, weights: WeightSequence,
         if not weights.square_summable:
             raise TruncationError(
                 "kernel diverges at boundary roots: sum |1 - a_n|^2 = inf")
-        if jz == jw:
-            q = Fraction(0)       # rho = exp(2 pi i q) = 1
-        elif cfg.angles is not None:
-            q = (cfg.angles[jz] - cfg.angles[jw]) % 1
-        else:
-            return _kernel_abel_pair(jz, jw, cfg, weights, tol)
-        return _kernel_closed_pair(jz, jw, q, cfg, weights, tol)
+        return _kernel_root_pair(jz, jw, cfg, weights, tol)
 
-    beta = beta_coefficients(cfg)
-    c_sup = _coeff_abs_bound(beta, weights)
     r = (abs(z) if kz == "interior" else 1.0) * (abs(w) if kw == "interior" else 1.0)
+    return _kernel_interior(z, w, r, cfg, weights, tol)
 
-    def pick(allowance):
-        # smallest N with C^2 r^N / (1 - r) + allowance <= tol
-        if r == 0.0:
-            return len(beta), 0.0, 0.0
-        N = max(8, int(math.ceil(
-            math.log((tol - allowance) * (1 - r) / c_sup ** 2) / math.log(r))))
-        while c_sup ** 2 * r ** N / (1 - r) + allowance > tol:
-            N += 1
-        if N > _N_CAP:
-            raise TruncationError(f"interior kernel sum needs {N} terms")
-        return N, c_sup ** 2 * r ** N / (1 - r), 0.0
 
+def _kernel_interior(z: complex, w: complex, r: float, cfg: BoundaryConfig,
+                     weights: WeightSequence, tol: float) -> KernelValue:
+    """sum_{n<N} f_n(z) conj(f_n(w)) for the least N whose geometric
+    majorant C^2 r^N/(1 - r), r = |z| |w|, plus the rounding allowance of
+    the sum (``_sum_allowance``) stays within tol.  N is re-picked against
+    the allowance, read from the terms, until it no longer grows; each
+    batch computes _INTERIOR_SPARE terms past N to cover that growth."""
+    beta = beta_coefficients(cfg)
+    c2 = _coeff_abs_bound(beta, weights) ** 2
     pz = _BasisPoint(z, cfg, beta)
     pw = pz if w == z else _BasisPoint(w, cfg, beta)
-    # charging the allowance moves this N by a few terms: compute them along
-    return _budgeted_sum(pick, lambda n: _pair_terms(n, pz, pw, weights),
-                         cfg.J, tol, spare=_INTERIOR_SPARE)
+    allowance, terms, majorant = 0.0, np.zeros(0), np.zeros(0)
+    while True:
+        if not allowance < tol:
+            raise TruncationError(
+                f"rounding allowance {allowance:.3g} alone exceeds tol {tol:.3g}")
+        N, trunc = len(beta), 0.0
+        if r != 0.0:
+            N = max(8, int(math.ceil(
+                math.log((tol - allowance) * (1 - r) / c2) / math.log(r))))
+            while c2 * r ** N / (1 - r) + allowance > tol:
+                N += 1
+            if N > _N_CAP:
+                raise TruncationError(f"interior kernel sum needs {N} terms")
+            trunc = c2 * r ** N / (1 - r)
+        if N > len(terms):
+            t, m = _pair_terms(np.arange(len(terms), N + _INTERIOR_SPARE),
+                               pz, pw, weights)
+            terms, majorant = np.concatenate((terms, t)), np.concatenate((majorant, m))
+        rounding = _sum_allowance(terms[:N], majorant[:N], cfg.J)
+        if rounding <= allowance:
+            return KernelValue(complex(np.sum(terms[:N])), N, "explicit",
+                               trunc, rounding)
+        allowance = rounding
 
 
 def _pair_terms(n: np.ndarray, pz: _BasisPoint, pw: _BasisPoint,
@@ -267,59 +253,33 @@ def _sum_allowance(terms: np.ndarray, majorant: np.ndarray, J: int) -> float:
                  + 8 * (J + 1) * float(np.sum(majorant)))
 
 
-def _budgeted_sum(pick, terms_of, J: int, tol: float,
-                  spare: int = 0) -> KernelValue:
-    """Sum the terms t_n, n < N, where terms_of(n) = (t_n, M_n) for an index
-    array n and N = pick(allowance)[0] keeps the truncation and Abel parts
-    plus the rounding allowance within tol.  The allowance is read from the
-    terms themselves, so N is re-picked against it until it no longer
-    grows; a larger N only extends the terms already computed.  Each batch
-    computes ``spare`` terms past N, so a re-pick that grows N by no more
-    than that needs no new batch; only the first N terms are summed."""
-    allowance = 0.0
-    terms = majorant = np.zeros(0)
-    while True:
-        if not allowance < tol:
-            raise TruncationError(
-                f"rounding allowance {allowance:.3g} alone exceeds tol {tol:.3g}")
-        N, trunc, abel = pick(allowance)
-        if N > len(terms):
-            t, m = terms_of(np.arange(len(terms), N + spare))
-            terms, majorant = np.concatenate((terms, t)), np.concatenate((majorant, m))
-        rounding = _sum_allowance(terms[:N], majorant[:N], J)
-        if rounding <= allowance:
-            return KernelValue(complex(np.sum(terms[:N])), N, "explicit",
-                               tail_truncation=trunc, tail_abel=abel,
-                               tail_rounding=rounding)
-        allowance = rounding
-
-
-def _reduced_in_u(cfg: BoundaryConfig, i: int) -> np.ndarray:
+def _reduced_in_u(cfg: BoundaryConfig, i: int) -> tuple:
     """Coefficients in u of phi_i((1 - u) z_i) = prod_{k != i} (1 - t_k + t_k u),
-    t_k = conj(z_k) z_i."""
-    coeffs = np.array([1.0 + 0j])
+    t_k = conj(z_k) z_i, and of its majorant prod_{k != i} (|1 - t_k| + |t_k| u)."""
+    coeffs, majorant = np.array([1.0 + 0j]), [1.0]
     for k, w in enumerate(cfg.conjugates):
         if k != i:
             t = w * cfg.roots[i]
             coeffs = np.convolve(coeffs, np.array([1.0 - t, t]))
-    return coeffs
+            majorant = [x * abs(1.0 - t) + y * abs(t)
+                        for x, y in zip(majorant + [0.0], [0.0] + majorant)]
+    return coeffs, majorant
 
 
-def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
-                        weights: WeightSequence, tol: float) -> KernelValue:
-    """K(z_i, z_j) = sum_m d_m sum_{r<d} rho^r S_{m+2,r} for rho of order d.
+def _kernel_root_pair(i: int, j: int, cfg: BoundaryConfig,
+                      weights: WeightSequence, tol: float) -> KernelValue:
+    """K(z_i, z_j) = (table head) + sum_m d_m S_{m+2} with S_s =
+    sum_{n>=T} rho^n u_n^s, rho = z_i conj(z_j) and P(u) =
+    phi_i((1-u) z_i) conj(phi_j((1-u) z_j)) = sum_m d_m u^m.
 
-    P(u) = phi_i((1-u) z_i) conj(phi_j((1-u) z_j)) = sum_m d_m u^m, and
-    S_{s,r} sums u_n^s over n = r mod d (``residue_power_sums``).  A table
-    head is summed explicitly and the tail rule takes over at its end T,
-    where the residue classes pick up the factor rho^T.  ``tail_rounding``
-    charges each zeta value's remainder bound and rounding allowance
-    (``_hurwitz_zeta``) with |d_m|, and 64 u of the sum of |d_m| |S_{s,r}|
-    for the contraction over r and m.
+    The head n < T is summed explicitly, the tail rule takes over at T
+    (``WeightSequence._tail_sums``).  rho = 1 exactly when i = j; else
+    theta = arg rho is exact from ``angles`` or the phase of the product of
+    the roots.  The remainders and allowances of S are charged with the
+    majorant D of P's coefficients (``bound``), and the contraction with
+    20 J u sum_m D_m |S_{m+2}|: d_m carries (17 J - 13) u D_m from its 2 (J - 1) factors and
+    their products, the sum over m (2 J + 2) u.
     """
-    d = q.denominator
-    if d > _N_CAP:
-        raise TruncationError(f"closed form needs {d} residue classes")
     T = len(weights.values)
     value, rounding = 0.0j, 0.0
     if T:
@@ -327,43 +287,25 @@ def _kernel_closed_pair(i: int, j: int, q: Fraction, cfg: BoundaryConfig,
         pw = pz if i == j else _BasisPoint(cfg.roots[j], cfg)
         head, majorant = _pair_terms(np.arange(T), pz, pw, weights)
         value, rounding = complex(np.sum(head)), _sum_allowance(head, majorant, cfg.J)
-    coeffs = np.convolve(_reduced_in_u(cfg, i), np.conj(_reduced_in_u(cfg, j)))
-    S, S_err = weights._residue_sums(np.arange(len(coeffs)) + 2, d, T)
-    phase = phase_powers(q, TWO_PI * float(q), np.arange(T, T + d))
-    value += complex(coeffs @ (S @ phase))
-    rounding += float(np.abs(coeffs) @ (64 * _U * np.sum(np.abs(S), axis=1)
-                                        + np.sum(S_err, axis=1)))
-    if not rounding <= tol:
+    (ci, mi), (cj, mj) = _reduced_in_u(cfg, i), _reduced_in_u(cfg, j)
+    coeffs, bound = np.convolve(ci, np.conj(cj)), np.convolve(mi, mj)
+    if i == j:
+        q, theta = None, 0.0
+    elif cfg.angles is not None:
+        q = (cfg.angles[i] - cfg.angles[j]) % 1
+        theta = math.remainder(TWO_PI * float(q), TWO_PI)     # in (-pi, pi]
+    else:
+        q, theta = None, cmath.phase(cfg.roots[i] * cfg.roots[j].conjugate())
+    S, remainder, allowance, terms = weights._tail_sums(
+        np.arange(len(coeffs)) + 2, T, q, theta)
+    value += complex(coeffs @ S)
+    truncation = float(bound @ remainder)
+    rounding += float(bound @ (allowance + 20 * cfg.J * _U * np.abs(S)))
+    if not truncation + rounding <= tol:
         raise TruncationError(
-            f"rounding allowance {rounding:.3g} alone exceeds tol {tol:.3g}")
-    return KernelValue(value, T, "closed_form", d, tail_rounding=rounding)
-
-
-def _kernel_abel_pair(i: int, j: int, cfg: BoundaryConfig,
-                      weights: WeightSequence, tol: float) -> KernelValue:
-    """Off-diagonal roots of unknown rho order: a truncated sum whose rest is
-    bounded by the cubic remainder lip * sum_{n>=N} |u_n|^3 plus the Abel
-    estimate 4 |v_inf| u_N^2 / |1 - rho| of its constant part."""
-    zi, zj = cfg.roots[i], cfg.roots[j]
-    rho = zi * zj.conjugate()
-    v_inf = (polyval(zi, phi_reduced(cfg, i))
-             * np.conj(polyval(zj, phi_reduced(cfg, j))))
-    lip = _lipschitz_pair_bound(cfg, i, j, weights)
-
-    def pick(allowance):
-        N = 1 << 12
-        while True:
-            rem = lip * weights.cube_tail_bound(N)
-            abel = abs(v_inf) * 4.0 * abs(weights.one_minus_a(N)) ** 2 / abs(1.0 - rho)
-            if rem + abel + allowance <= tol:
-                return N, rem, abel
-            N <<= 1
-            if N > _N_CAP:
-                raise TruncationError("no reachable truncation certifies the tolerance")
-
-    pz, pw = _BasisPoint(zi, cfg), _BasisPoint(zj, cfg)
-    return _budgeted_sum(pick, lambda n: _pair_terms(n, pz, pw, weights),
-                         cfg.J, tol)
+            f"root-pair bound {truncation + rounding:.3g} exceeds tol {tol:.3g}")
+    return KernelValue(value, T + terms, "euler" if theta else "closed_form",
+                       truncation, rounding)
 
 
 @dataclass(frozen=True)
@@ -391,18 +333,12 @@ def domain_report(z, cfg: BoundaryConfig, weights: WeightSequence,
     j = _special_index(z, cfg)
     if j is None and not abs(z) <= 1.0 + 1e-12:     # NaN included
         raise DomainError(f"{z} is outside the closed disk and not a root")
-    n_checks = []
-    m = MIN_TRUNCATION
-    while m <= N:
-        n_checks.append(m)
-        m *= 2
-    if n_checks[-1] != N:
-        n_checks.append(N)
+    n_checks = _dyadic_checkpoints(N)
     sq = np.abs(eval_f_prefix(N, z, cfg, weights)) ** 2
     csum = np.cumsum(sq)
-    partial = csum[np.array(n_checks) - 1]
+    partial = csum[n_checks - 1]
     if j is not None:
         verdict = CONVERGING if weights.square_summable else DIVERGING
     else:
         verdict = CONVERGING if abs(z) < 1.0 - 1e-14 else DIVERGING
-    return DomainReport(np.array(n_checks), partial, verdict)
+    return DomainReport(n_checks, partial, verdict)

@@ -28,6 +28,16 @@ MIN_TRUNCATION = 16   # smallest truncation a growth verdict or domain report re
 
 TWO_PI = 2.0 * math.pi
 _U = 2.0 ** -53       # unit roundoff of float64
+_N_CAP = 1 << 23      # refuse direct kernel sums beyond this many terms
+
+
+def _dyadic_checkpoints(N: int) -> np.ndarray:
+    """MIN_TRUNCATION, 2 MIN_TRUNCATION, 4 MIN_TRUNCATION, ... below N, then N."""
+    checks, m = [], MIN_TRUNCATION
+    while m < N:
+        checks.append(m)
+        m *= 2
+    return np.array(checks + [N])
 
 
 class ConfigurationError(ValueError):
@@ -356,7 +366,7 @@ def louck_power_sum(m, cfg: BoundaryConfig):
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta
+# sums of the tail rule: Hurwitz zeta and the strided Euler transform
 # ---------------------------------------------------------------------------
 
 _ZETA_DIRECT = 10       # M: terms of a zeta sum taken directly
@@ -468,6 +478,106 @@ def _zeta_weights(s_key: bytes) -> tuple:
     for part in parts:
         part.flags.writeable = False
     return parts
+
+
+_EULER_TERMS = 12       # K: differences in the Euler transform of a tail
+# B[j, i] = (-1)^(j-i) C(j, i): row j against h(H..H+K-1) is Delta^j h(H)
+_DIFFERENCES = np.array([[(-1) ** (j - i) * math.comb(j, i)
+                          for i in range(_EULER_TERMS)]
+                         for j in range(_EULER_TERMS)], dtype=float)
+_BINOMIALS = np.abs(_DIFFERENCES)
+
+
+def _euler_depth(order, x0: float, m: int, a: float) -> int:
+    """H for ``_euler_sums`` at stride m, x0 = start + c and a = |sigma|:
+    the least H with m a^K |h_0^(K-1)(H)| = m a^K (order)_(K-1) m^-order
+    (H + x0/m)^-(order+K-1), which bounds the remainder over all r, below
+    u x0^-order, the rounding level of the first term, for every order."""
+    K = _EULER_TERMS
+    return max(0, max(math.ceil(math.exp(
+        (K * math.log(a) - math.log(_U) + math.lgamma(s + K - 1)
+         - math.lgamma(s) + (1 - s) * math.log(m) + s * math.log(x0))
+        / (s + K - 1)) - x0 / m) for s in order.tolist()))
+
+
+def _euler_sums(order, c: float, start: int, q: Optional[Fraction],
+                theta: float) -> tuple:
+    """S = sum_{n >= start} rho^n f(n), f(n) = (n + c)^-order, for
+    rho = exp(i theta) != 1, theta in (-pi, pi] (q its fraction of a turn,
+    or None) and each order > 1 of the array ``order``, as (value,
+    remainder, allowance, terms) with |S - value| <= remainder + allowance.
+
+    Stride m = max(1, round(pi/|theta|)): tau = rho^m has |arg tau| >=
+    2 pi/3, so |sigma| <= 1/sqrt 3 for sigma = 1/(1 - tau), and S = sum_{r<m}
+    rho^(start+r) sum_k tau^k h_r(k), h_r(k) = f(start + r + m k) completely
+    monotone in k.  The k < H (``_euler_depth``) are summed directly,
+    ``terms`` = m H.  Summation by parts K = _EULER_TERMS times (Knopp,
+    Theory and Application of Infinite Series) gives
+      sum_{k>=H} tau^k h(k) = tau^H sum_{j<K} sigma^(j+1) tau^j Delta^j h(H) + R,
+      R = (sigma tau)^K sum_{k>=H} tau^k Delta^K h(k),
+    and as (-1)^K Delta^K h >= 0 the sum of |Delta^K h(k)| telescopes:
+    |R| <= |sigma|^K |Delta^(K-1) h(H)|.  All Delta^(K-1) h_r(H) share the
+    sign (-1)^(K-1): the ``remainder`` is |sigma|^K |Delta^(K-1) sum_r
+    h_r(H)|.  With B = _DIFFERENCES the tail is tau^H sum_i w_i h_r(H + i),
+    w = (sigma^(j+1) tau^j)_j @ B, so S = sum_k c_k sum_r rho^(start+r)
+    f(start + r + m k), c_k = tau^k below H and tau^H w_(k-H) from H on;
+    sum_i |w_i| < 20.  Past _N_CAP terms (roots closer than about 1e-6 rad)
+    it raises TruncationError.
+
+    Allowance, to first order in u = 2^-53 (+, -, *, / err by u, a complex
+    product by 3 u, np.power by pi u with pi = _POW_ERR, an imaginary exp
+    by 2 u), with A_k = 1 below H and Omega_i = sum_j |sigma|^(j+1)
+    C(j, i) >= |w_i| from H on:
+      - f errs by (order + pi) u.  With q a phase errs by 18 u (2 pi x/den
+        within 2.5 u), sigma by 16 u, sigma tau by 37 u, the binary powers
+        sigma (sigma tau)^j by (19 + 43 j) u and tau^H w_i by 44 K u Omega_i;
+        the sums over r and k add (m + 1) u and (H + K + 3) u, scale^s
+        (``_tail_sums``) 5 u.  With units to spare: u [(order + H + K + m
+        + 55) sum A_k f + 44 K sum_(k>=H) A_k f].
+      - Without q theta is within sqrt 5 u + 2 pi u < 8.6 u of the phase
+        of the roots, so exp(i theta n) errs by < 12 n u + 2 u; the tail
+        moves with theta by at most 2 |sigma| sum_r (N + r + 2c)
+        f(N + r) |dtheta|, N = start + m H (Abel's bound on both
+        decreasing parts of n f(n) = (n + c)^(1-order) - c f(n)), and its
+        weights carry tau K times: 12 u sum nu A_k f, nu = n on the head
+        and 2 (n + c + m K) on the tail (Omega_0 >= 3 |sigma|/2).
+      - The measured last difference errs by (order + pi + K + m) u
+        |B_(K-1)| @ sum_r h_r(H..), charged with |sigma|^K.
+    """
+    K = _EULER_TERMS
+    m = max(1, round(math.pi / abs(theta)))
+    H = _euler_depth(order, start + c, m, 0.5 / abs(math.sin(m * theta / 2)))
+    if m * (H + K) > _N_CAP:
+        raise TruncationError(f"stride {m} needs {m * (H + K)} terms")
+    r = np.arange(m)
+    phases = phase_powers(q, theta, np.append(m * np.arange(H + 2), start + r))
+    tau = complex(phases[1])                   # phases[k] = tau^k, k <= H + 1
+    sigma = 1.0 / (1.0 - tau)
+    a = abs(sigma)
+    running = sigma * (sigma * tau) ** np.arange(K)
+    coeffs = np.concatenate((phases[:H], phases[H] * (running @ _DIFFERENCES)))
+    f = np.power((start + np.arange(m * (H + K))).reshape(H + K, m) + c,
+                 -order[:, None, None])        # (P, H + K, m)
+    by_r = f @ np.stack((phases[H + 2:], np.ones(m)), axis=1)   # phased, plain
+    value = by_r[:, :, 0] @ coeffs
+    f_r = by_r[:, :, 1].real
+    # sum_r f against: the head, Omega on the tail, B_(K-1) and |B_(K-1)|
+    rows = np.zeros((H + K, 4))
+    rows[:H, 0] = 1.0
+    rows[H:, 1] = np.abs(running) @ _BINOMIALS
+    rows[H:, 2], rows[H:, 3] = _DIFFERENCES[-1], _BINOMIALS[-1]
+    sums = f_r @ rows
+    remainder = a ** K * np.abs(sums[:, 2])
+    units = H + K + m + 55
+    parts = sums @ np.array([[1.0, units], [1.0, units + 44 * K], [0.0, 0.0],
+                             [a ** K, (_POW_ERR + K + m) * a ** K]])
+    allowance = _U * (order * parts[:, 0] + parts[:, 1])
+    if not (q is not None and q.denominator <= _EXACT_DENOMINATOR):
+        # nu A_k = weight (index + r): A_k on the head, 2 A_k on the tail
+        weight = rows[:, 0] + 2 * rows[:, 1]
+        index = start + m * np.arange(H + K) + np.where(rows[:, 1], m * K + c, 0)
+        allowance += 12 * _U * (f_r @ (weight * index) + (f @ r) @ weight)
+    return value, remainder, allowance, m * H
 
 
 # ---------------------------------------------------------------------------
@@ -601,58 +711,36 @@ class WeightSequence:
         if np.any(probe == 0):
             raise ConfigurationError("1 - a_n vanishes at a sampled index")
 
-    # -- certified tail bounds ---------------------------------------------
+    # -- sums of the tail rule -----------------------------------------------
 
-    def cube_tail_bound(self, N: int) -> float:
-        """Upper bound for sum_{n >= N} |1 - a_n|^3."""
-        return self._power_tail_bound(N, 3)
+    def _tail_sums(self, powers, start: int, q: Optional[Fraction],
+                   theta: float) -> tuple:
+        """(S, remainder, allowance, terms): S[m] = sum_{n >= start} rho^n
+        (1 - a_n)^powers[m], rho = exp(i theta), theta in (-pi, pi] (q its
+        fraction of a turn, or None), with |true - S| <= remainder +
+        allowance and ``terms`` summed directly past ``start``.
 
-    def _power_tail_bound(self, N: int, power: int) -> float:
-        if self.kind == _HARMONIC:
-            # sum_{n>=N} (n+c)^-q  <  (N-1+c)^(1-q)/(q-1)
-            q = power
-            return abs(self.p) ** power * (N - 1 + self.offset) ** (1 - q) / (q - 1)
-        if self.kind == _POWERLAW:
-            q = power * self.p
-            if q <= 1.0:
-                return math.inf
-            return (N + 1.0) ** (1 - q) / (q - 1)
-        if N >= len(self.values):
-            return self.tail._power_tail_bound(N, power)
-        head = float(np.sum(np.abs(
-            [1.0 - v for v in self.values[N:]]) ** power))
-        return head + self.tail._power_tail_bound(len(self.values), power)
-
-    def residue_power_sums(self, powers, d: int, start: int) -> np.ndarray:
-        """S[m, r] = sum_{k >= 0} (1 - a_{start + d k + r})^powers[m], r < d.
-
-        The tail rule reads 1 - a_n = g(n + c) with g(x) = p/x (harmonic,
-        c the offset) or g(x) = x^-p (powerlaw, c = 2), so each residue
-        class is a Hurwitz zeta value (DLMF 25.11):
-          harmonic:  (p/d)^s zeta(s, (r + start + c)/d),
-          powerlaw:  d^(-p s) zeta(p s, (r + start + 2)/d).
-        Every sum converges when powers >= 2 and the weights are square
-        summable.  A table's closed form starts past its last value.
+        The tail rule reads (1 - a_n)^s = scale^s (n + c)^-order: harmonic
+        gives (p, s, the offset), powerlaw (1, p s, 2).  At rho = 1 the sum
+        is scale^s zeta(order, start + c) (``_hurwitz_zeta``), otherwise
+        ``_euler_sums``.  A table's sums start past its last value.
         """
-        return self._residue_sums(powers, d, start)[0]
-
-    def _residue_sums(self, powers, d: int, start: int) -> tuple:
-        """(S, E): residue_power_sums and, for each entry, the remainder
-        bound plus rounding allowance of its zeta value (``_hurwitz_zeta``)
-        carried by the same scale."""
         if self.kind == _TABLE:
             if start < len(self.values):
-                raise ValueError("the closed form starts past the table")
-            return self.tail._residue_sums(powers, d, start)
+                raise ValueError("the tail rule starts past the table")
+            return self.tail._tail_sums(powers, start, q, theta)
         s = np.asarray(powers, dtype=float)
         if self.kind == _HARMONIC:
-            scale, order, c = self.p / d, s, self.offset
+            scale, order, c = self.p, s, self.offset
         else:
-            scale, order, c = float(d) ** -self.p, self.p * s, 2.0
-        value, remainder, allowance = _hurwitz_zeta(
-            order, (np.arange(d) + (start + c)) / d)
-        scale = scale ** s[:, None]
-        return scale * value, scale * (remainder + allowance)
+            scale, order, c = 1.0, self.p * s, 2.0
+        if theta == 0.0:
+            parts = [x[:, 0] for x in _hurwitz_zeta(order, [start + c])] + [0]
+        else:
+            parts = _euler_sums(order, c, start, q, theta)
+        value, remainder, allowance, terms = parts
+        scale = scale ** s
+        return scale * value, scale * remainder, scale * allowance, terms
 
     def decay_factor_sup(self, n0: int, shift: int) -> float:
         """sup_{n >= n0} (n + shift)*|1 - a_n| / p for rate-hypothesis kinds.

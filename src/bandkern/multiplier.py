@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BasisBand, BoundaryConfig, WeightSequence
+from .core import BasisBand, BoundaryConfig, WeightSequence, _dyadic_checkpoints
 from .recursion import _l2_verdict, _section_norm_ladder, growth_verdict
 
 _SUP_RADIUS = 0.9     # constant_sup_error checks the circle |z| = _SUP_RADIUS
@@ -49,20 +49,6 @@ class ExpansionReport:
     p_hat: tuple
 
 
-def _l2_checkpoints(coeffs: np.ndarray):
-    """Running l2 norms of the first m coefficients at m = 16, 32, ... below
-    len(coeffs) and at len(coeffs)."""
-    N = len(coeffs)
-    checks = []
-    m = 16
-    while m < N:
-        checks.append(m)
-        m *= 2
-    checks.append(N)
-    csum = np.cumsum(np.abs(coeffs) ** 2)
-    return np.asarray(checks), np.sqrt(csum[np.asarray(checks) - 1])
-
-
 def constant_expansion(N: int, cfg: BoundaryConfig,
                        weights: WeightSequence) -> ExpansionReport:
     """Coefficients c_0..c_N of the constant function 1 = sum c_n f_n:
@@ -87,7 +73,8 @@ def polynomial_membership(coeffs, N: int, cfg: BoundaryConfig,
     taylor = np.zeros(N + 1, dtype=complex)
     taylor[: len(coeffs)] = coeffs
     alpha = BasisBand(cfg, weights, N + 1).solve(taylor)
-    checks, norms = _l2_checkpoints(alpha[:N])
+    checks = _dyadic_checkpoints(N)
+    norms = np.sqrt(np.cumsum(np.abs(alpha[:N]) ** 2)[checks - 1])
     return ExpansionReport(alpha, checks, norms, *_l2_verdict(alpha))
 
 

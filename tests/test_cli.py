@@ -77,15 +77,36 @@ def test_kernel_eval_summary_records_routes(tmp_path):
     prefix = str(tmp_path / "kern_out")
     assert run(cfgp, out=prefix) == 0
     routes = json.load(open(prefix + ".summary.json"))["measurements"]["routes"]
-    closed, explicit = routes
-    assert closed["route"] == "closed_form" and closed["rho_order"] == 3
-    assert closed["truncation_n"] == 0
-    assert closed["tail"]["truncation"] == closed["tail"]["abel"] == 0.0
-    assert 0.0 < closed["tail"]["rounding"] <= 1e-10
-    assert explicit["route"] == "explicit" and explicit["rho_order"] is None
+    euler, explicit = routes
+    assert euler["route"] == "euler" and sorted(euler) == [
+        "route", "tail", "truncation_n"]
+    assert euler["truncation_n"] > 0
+    assert sorted(euler["tail"]) == ["rounding", "truncation"]
+    assert 0.0 < euler["tail"]["truncation"] < euler["tail"]["rounding"]
+    assert sum(euler["tail"].values()) <= 1e-10
+    assert explicit["route"] == "explicit"
     assert explicit["truncation_n"] > 0
-    assert explicit["tail"]["abel"] == 0.0
     assert sum(explicit["tail"].values()) <= 1e-10
+
+
+def test_kernel_eval_certifies_roots_given_as_points(tmp_path):
+    # the off-diagonal pairs of the cube roots given as points certify at
+    # tol 1e-10 through the same series as rational roots
+    cube = [complex(1.0), complex(-0.5, math.sqrt(3) / 2),
+            complex(-0.5, -math.sqrt(3) / 2)]
+    cfgp = write_config(
+        tmp_path, "kern.json",
+        roots={"points": [{"re": z.real, "im": z.imag} for z in cube]},
+        weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+        experiment="kernel-eval",
+        points=[["z1", "z2"], ["z2", "z3"], ["z3", "z1"]],
+        tolerance=1e-10,
+    )
+    prefix = str(tmp_path / "kern_out")
+    assert run(cfgp, out=prefix) == 0
+    routes = json.load(open(prefix + ".summary.json"))["measurements"]["routes"]
+    assert [r["route"] for r in routes] == ["euler"] * 3
+    assert all(sum(r["tail"].values()) <= 1e-10 for r in routes)
 
 
 def test_empty_truncations_is_config_error(tmp_path):
@@ -624,16 +645,19 @@ def test_norm_runs_leave_scipy_sparse_unimported(tmp_path):
 
 
 def test_runs_without_a_band_load_no_scipy(tmp_path):
-    # kernel values (a root pair in closed form, an interior pair), domain
-    # reports and identities build no band, so they never import scipy;
-    # a containment run in the same process loads scipy.linalg when it
-    # needs it
+    # kernel values (root pairs given by angles and by points, an interior
+    # pair), domain reports and identities build no band, so they never
+    # import scipy; a containment run in the same process loads
+    # scipy.linalg when it needs it
     roots = {"angles": ["0", "1/3", "2/3"]}
     weights = {"kind": "harmonic", "p": 1.0, "offset": 2.0}
     paths = [
         write_config(tmp_path, "kern.json", roots=roots, weights=weights,
                      experiment="kernel-eval",
                      points=[["z1", "z2"], [{"re": 0.5}, {"im": 0.3}]]),
+        write_config(tmp_path, "kernp.json", weights=weights,
+                     roots={"points": [{"re": 1.0}, {"im": 1.0}]},
+                     experiment="kernel-eval", points=[["z1", "z2"]]),
         write_config(tmp_path, "dom.json", roots=roots, weights=weights,
                      experiment="domain", truncations=[256]),
         write_config(tmp_path, "ids.json", roots=roots, weights=weights,
@@ -644,13 +668,13 @@ def test_runs_without_a_band_load_no_scipy(tmp_path):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import bandkern; from bandkern.cli import run; "
-            "codes = [run(p, out=p[:-5]) for p in sys.argv[2:5]]; "
+            "codes = [run(p, out=p[:-5]) for p in sys.argv[2:6]]; "
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-            "print(codes, loaded, run(sys.argv[5], out=sys.argv[5][:-5]))")
+            "print(codes, loaded, run(sys.argv[6], out=sys.argv[6][:-5]))")
     proc = subprocess.run([sys.executable, "-c", code, src, *paths],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0]", "[]", "0"]
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0]", "[]", "0"]
 
 
 @pytest.mark.parametrize("setting", [None, "2"])

@@ -260,26 +260,24 @@ def test_weights_converge_to_one():
         assert gaps[-1] < 1e-3
 
 
-def test_residue_power_sums_match_brute_force():
-    # S[m, r] = sum_{k>=0} (1 - a_{N + d k + r})^s_m against explicit prefixes
+def test_tail_power_sums_match_brute_force():
+    # S[m] = sum_{n>=N} (1 - a_n)^s_m at rho = 1 against explicit prefixes
     N, powers = 50, [2, 3, 5]
-    w = WeightSequence.harmonic(1.0, 2.0)       # trigamma(N+2) at s=2, d=1
+    w = WeightSequence.harmonic(1.0, 2.0)       # trigamma(N+2) at s=2
     u = w.one_minus_a(np.arange(10_000_000))[N:]
     wp = WeightSequence.power_law(2.0)
     up = np.asarray(wp.one_minus_a(np.arange(1_000_000)))[N:]
-    for d in (1, 3):
-        S = w.residue_power_sums(powers, d, N)
-        Sp = wp.residue_power_sums(powers, d, N)
-        assert S.shape == Sp.shape == (len(powers), d)
-        for m, s in enumerate(powers):
-            for r in range(d):
-                assert S[m, r] == pytest.approx(np.sum(u[r::d] ** s), abs=1e-7)
-                assert Sp[m, r] == pytest.approx(np.sum(up[r::d] ** s), rel=1e-9)
+    S, _, _, terms = w._tail_sums(powers, N, None, 0.0)
+    Sp = wp._tail_sums(powers, N, None, 0.0)[0]
+    assert S.shape == Sp.shape == (len(powers),) and terms == 0
+    for m, s in enumerate(powers):
+        assert S[m] == pytest.approx(np.sum(u ** s), abs=1e-7)
+        assert Sp[m] == pytest.approx(np.sum(up ** s), rel=1e-9)
     table = WeightSequence.from_table([0.1, 0.2, 0.3], w)
-    assert_allclose(table.residue_power_sums(powers, 3, 3),
-                    w.residue_power_sums(powers, 3, 3), rtol=0)
+    assert_allclose(table._tail_sums(powers, 3, None, 0.0)[0],
+                    w._tail_sums(powers, 3, None, 0.0)[0], rtol=0)
     with pytest.raises(ValueError):
-        table.residue_power_sums(powers, 3, 2)
+        table._tail_sums(powers, 2, None, 0.0)
 
 
 def _zeta_reference(s: float, q: float):
@@ -333,14 +331,6 @@ def test_hurwitz_zeta_blocks_agree_with_single_calls():
         _hurwitz_zeta([1.0], [0.5])
     with pytest.raises(ValueError):
         _hurwitz_zeta([2.0], [0.0, 1.0])
-
-
-def test_cube_tail_bound():
-    w = WeightSequence.harmonic(1.5, 2.0)
-    N = 40
-    brute = float(np.sum(np.abs(w.one_minus_a(np.arange(2_000_000))[N:]) ** 3))
-    bound = w.cube_tail_bound(N)
-    assert brute <= bound <= brute * 1.2
 
 
 # --- the band of basis Taylor coefficients -----------------------------------

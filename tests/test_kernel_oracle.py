@@ -1,6 +1,6 @@
-"""Certified kernel values against 30-digit oracles that do not use the
-residue split: at a pair of roots every series sum_n u_n^s rho^n is a Lerch
-transcendent Phi(rho, s, c) (mpmath.lerchphi), with u_n = 1 - a_n and
+"""Certified kernel values against 30-digit oracles that share no route
+with the package: at a pair of roots every series sum_n u_n^s rho^n is a
+Lerch transcendent Phi(rho, s, c) (mpmath.lerchphi), with u_n = 1 - a_n and
 rho = z_i conj(z_j); inside the disk the series is summed term by term."""
 
 import cmath
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandkern import BoundaryConfig, TruncationError, WeightSequence, kernel_eval
+from bandkern import core
 
 DPS = 30
 
@@ -45,8 +46,17 @@ def _lerch_sum(kind, p, c, x, s, start):
     return x ** start * mpmath.lerchphi(x, p * s, 2 + start)
 
 
+def _turns(q):
+    """An angle in turns, exact for a Fraction and for a float."""
+    if isinstance(q, Fraction):
+        return mpmath.mpf(q.numerator) / q.denominator
+    return mpmath.mpf(q)
+
+
 def kernel_mp(angles, z, w, kind, p, c=2.0, table=()):
     """K(z, w) at 30 digits; z and w are both root indices or both interior.
+    The roots are exp(2 pi i q) for the angles q in turns, Fractions or
+    floats.
 
     K = sum_n x^n P(u_n) with x = z conj(w) and P(u) = g_z(u) conj(g_w(u)),
     g_x(u) = phi((1 - u) x); at a root z_i the vanishing factor of phi is
@@ -56,13 +66,11 @@ def kernel_mp(angles, z, w, kind, p, c=2.0, table=()):
     the geometric rest is below 1e-25.
     """
     with mpmath.workdps(DPS):
-        roots = [mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
-                 for q in angles]
+        roots = [mpmath.expjpi(2 * _turns(q)) for q in angles]
         pm, cm = mpmath.mpf(p), mpmath.mpf(c)
         at_root = isinstance(z, int)
         if at_root:
-            q = (angles[z] - angles[w]) % 1
-            x = mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
+            x = mpmath.expjpi(2 * (_turns(angles[z]) - _turns(angles[w])))
             pz = _factors_in_u(roots, roots[z], z)
             pw = _factors_in_u(roots, roots[w], w)
         else:
@@ -130,7 +138,8 @@ def test_root_pairs_match_lerch_oracle(angles, params, tol, data):
     i = data.draw(st.integers(0, cfg.J - 1))
     j = data.draw(st.integers(0, cfg.J - 1))
     kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, _weights(*params), tol)
-    assert kv.route == "closed_form" and kv.truncation_n == 0
+    assert kv.route == ("closed_form" if i == j else "euler")
+    assert (kv.truncation_n == 0) == (i == j)
     _check(kv, kernel_mp(angles, i, j, *params), tol)
 
 
@@ -165,21 +174,105 @@ def test_table_weights_match_lerch_oracle():
     weights = WeightSequence.from_table(values, WeightSequence.harmonic(1.5, 2.0))
     for i, j in [(0, 0), (1, 2), (2, 0)]:
         kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, weights, 1e-10)
-        assert kv.route == "closed_form" and kv.truncation_n == len(values)
+        assert kv.route == ("closed_form" if i == j else "euler")
+        assert (kv.truncation_n == len(values)) == (i == j)
         _check(kv, kernel_mp(angles, i, j, "harmonic", 1.5, table=values), 1e-10)
 
 
-def test_roots_given_as_points_use_abel_estimate():
-    # without exact angles the order of rho is unknown off the diagonal
+def test_roots_given_as_points_use_euler_route():
+    # without exact angles theta is the phase of z_i conj(z_j); every
+    # off-diagonal pair of the cube roots certifies tol 1e-10 against the
+    # rational oracle, the float roots being within a few u of it
     angles = [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
     cfg = BoundaryConfig.from_points(BoundaryConfig.from_angles(angles).roots)
     weights = WeightSequence.harmonic(1.0)
-    kv = kernel_eval(cfg.roots[0], cfg.roots[1], cfg, weights, 1e-8)
-    assert kv.route == "explicit" and kv.rho_order is None and kv.tail_abel > 0
-    _check(kv, kernel_mp(angles, 0, 1, "harmonic", 1.0), 1e-8)
+    for i, j in [(0, 1), (1, 2), (2, 0)]:
+        kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, weights, 1e-10)
+        assert kv.route == "euler" and 0 < kv.truncation_n < 200
+        _check(kv, kernel_mp(angles, i, j, "harmonic", 1.0), 1e-10)
     kv = kernel_eval(cfg.roots[2], cfg.roots[2], cfg, weights, 1e-10)
-    assert kv.route == "closed_form" and kv.rho_order == 1
+    assert kv.route == "closed_form" and kv.truncation_n == 0
     _check(kv, kernel_mp(angles, 2, 2, "harmonic", 1.0), 1e-10)
+
+
+def _arguments(cfg):
+    """The exact arguments, in turns, of a configuration's float roots."""
+    return [mpmath.arg(mpmath.mpc(z)) / (2 * mpmath.pi) for z in cfg.roots]
+
+
+def _off_diagonal(J):
+    return st.tuples(st.integers(0, J - 1), st.integers(1, J - 1)).map(
+        lambda ij: (ij[0], (ij[0] + ij[1]) % J))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_rational_angles(4).filter(lambda a: len(a) >= 2), weight_params,
+       st.data())
+def test_rational_roots_given_as_points_match_lerch_oracle(angles, params,
+                                                           data):
+    # Tolerance: the contract |oracle - value| <= tail_bound <= tol with
+    # tol = 1e-10; the oracle takes the exact rational roots, which the
+    # float roots of from_points match to a few u
+    cfg = BoundaryConfig.from_points(BoundaryConfig.from_angles(angles).roots)
+    i, j = data.draw(_off_diagonal(cfg.J))
+    kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, _weights(*params), 1e-10)
+    assert kv.route == "euler"
+    _check(kv, kernel_mp(angles, i, j, *params), 1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.0, 1.0), st.lists(st.floats(0.01, 2.0), min_size=1,
+                                     max_size=2),
+       weight_params, st.data())
+def test_irrational_roots_match_lerch_oracle(start, gaps, params, data):
+    # roots at irrational angles with gaps of 0.01 to 2 rad, so strides
+    # up to 314.  Tolerance: the contract |oracle - value| <= tail_bound
+    # <= tol with tol = 1e-10, the oracle at the exact arguments of the
+    # float roots
+    turns = [start + sum(gaps[:k]) / (2 * math.pi) for k in range(len(gaps) + 1)]
+    cfg = BoundaryConfig.from_points([cmath.exp(2j * math.pi * t) for t in turns])
+    i, j = data.draw(_off_diagonal(cfg.J))
+    kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, _weights(*params), 1e-10)
+    assert kv.route == "euler"
+    _check(kv, kernel_mp(_arguments(cfg), i, j, *params), 1e-10)
+
+
+def test_large_denominator_pair_matches_lerch_oracle():
+    # rho of order 2^12, one pair 2 pi/4096 apart and one about 2 pi/3
+    # apart: strides 2048 and 1.  Tolerance: |oracle - value| <=
+    # tail_bound <= tol with tol = 1e-10
+    angles = [Fraction(0), Fraction(1, 4096), Fraction(1365, 4096)]
+    cfg = BoundaryConfig.from_angles(angles)
+    weights = WeightSequence.harmonic(0.7)
+    for i, j in [(0, 1), (2, 1)]:
+        kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, weights, 1e-10)
+        assert kv.route == "euler"
+        _check(kv, kernel_mp(angles, i, j, "harmonic", 0.7), 1e-10)
+
+
+def test_roots_closer_than_the_cap_raise():
+    # 1e-7 rad apart: admitted as distinct roots, but a stride of 3e7
+    # terms passes the direct-sum cap
+    cfg = BoundaryConfig.from_points([1.0, cmath.exp(1e-7j)])
+    with pytest.raises(TruncationError):
+        kernel_eval(cfg.roots[0], cfg.roots[1], cfg, WeightSequence.harmonic(1.0))
+
+
+@pytest.mark.parametrize("H", [1, 3, 6])
+def test_remainder_bounds_a_shallow_transform(monkeypatch, H):
+    # with the direct sum cut to H strides the Euler remainder R, not the
+    # rounding, sets the error: the returned remainder must cover it, and
+    # the error must exceed the allowance alone.  Tolerance: the bound
+    # itself, remainder + allowance, against the 30-digit oracle
+    angles = [Fraction(0), Fraction(1, 12), Fraction(1, 2)]
+    monkeypatch.setattr(core, "_euler_depth", lambda *args: H)
+    cfg = BoundaryConfig.from_angles(angles)
+    weights = WeightSequence.harmonic(1.0)
+    for i, j in [(0, 1), (1, 2)]:
+        kv = kernel_eval(cfg.roots[i], cfg.roots[j], cfg, weights, 1.0)
+        err = abs(kernel_mp(angles, i, j, "harmonic", 1.0) - kv.value)
+        assert kv.tail_rounding < err <= kv.tail_bound
+        assert kv.tail_truncation > 100 * kv.tail_rounding
 
 
 def test_near_boundary_interior_pair_stays_within_tol():
