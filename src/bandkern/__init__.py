@@ -13,16 +13,18 @@ encoding Lhat^-1 L, which a ``Splitting`` holds at one truncation.
 Polynomials (phi, the reduced phi_j, the boundary polynomials Q_n and the
 inputs of polynomial_membership) are ascending numpy coefficient arrays.
 
-Importing the package loads numpy only; scipy.linalg loads at the first
-band product or solve.  BLAS runs on one thread unless the caller set
+Importing the package loads numpy only; scipy loads at the first band
+product or solve, which binds scipy's compiled BLAS/LAPACK wrappers without
+importing scipy.linalg.  BLAS runs on one thread unless the caller set
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.
 """
 
 import os as _os
 
 # Before numpy loads: the band products and solves are short vector calls,
-# which BLAS threads slow down.  scipy loads later still, so its own BLAS
-# follows the setting even when the caller imported numpy first.
+# which BLAS threads slow down.  scipy's BLAS loads later still, with the
+# first band, so it follows the setting even when the caller imported numpy
+# first.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
 

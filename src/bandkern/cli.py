@@ -137,15 +137,23 @@ def _parse_weights(obj) -> WeightSequence:
     raise ConfigurationError(f"unknown weight kind {kind!r}")
 
 
+def _roots_list(roots: dict, key: str) -> list:
+    # a string would otherwise run as the list of its characters
+    if not isinstance(roots[key], list):
+        raise ConfigurationError(f"roots.{key} must be a list")
+    return roots[key]
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
     roots = raw.get("roots")
     if isinstance(roots, dict) and "angles" in roots:
-        cfg = BoundaryConfig.from_angles([Fraction(str(q)) for q in roots["angles"]])
+        cfg = BoundaryConfig.from_angles(
+            [Fraction(str(q)) for q in _roots_list(roots, "angles")])
     elif isinstance(roots, dict) and "points" in roots:
         cfg = BoundaryConfig.from_points(
-            [_parse_complex(p, None) for p in roots["points"]])
+            [_parse_complex(p, None) for p in _roots_list(roots, "points")])
     else:
         raise ConfigurationError("roots must carry 'angles' or 'points'")
     weights = _parse_weights(raw.get("weights"))
@@ -154,7 +162,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
     truncations = raw.get("truncations")
     if (not isinstance(truncations, list) or not truncations
-            or any(not isinstance(t, int) or t <= 0 for t in truncations)
+            or any(isinstance(t, bool) or not isinstance(t, int) or t <= 0
+                   for t in truncations)
             or any(b <= a for a, b in zip(truncations, truncations[1:]))):
         raise ConfigurationError("truncations must be a strictly increasing "
                                  "nonempty list of positive integers")

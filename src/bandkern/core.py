@@ -14,7 +14,10 @@ from __future__ import annotations
 import cmath
 import copy
 import functools
+import importlib.machinery
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -200,20 +203,67 @@ def phi_reduced(cfg: BoundaryConfig, j: int) -> np.ndarray:
 # the band of basis Taylor coefficients
 # ---------------------------------------------------------------------------
 
-# scipy.linalg loads at the first lookup, so that ``import bandkern`` and the
-# runs that build no band (kernel values, domain reports, identities) load
-# numpy only.  Each band or ladder looks its routines up once.
+# The band routines are scipy's compiled f2py wrappers of BLAS and LAPACK,
+# scipy/linalg/_fblas and _flapack, bound without running
+# scipy/linalg/__init__.py: its imports (numpy.f2py and scipy's array-API
+# layer) cost more than the rest of a band run's start-up and do no band
+# work.  ``import bandkern`` and the runs that build no band (kernel values,
+# domain reports, identities) load no scipy; each band or ladder binds its
+# routines once.
+
+def _linalg_dir() -> str:
+    """The directory of scipy's compiled BLAS and LAPACK wrappers."""
+    import scipy    # scipy's own start-up, such as its bundled libraries
+    return os.path.join(os.path.dirname(scipy.__file__), "linalg")
+
+
+@functools.cache
+def _fortran_module(name: str):
+    """scipy.linalg's compiled module ``name`` (_fblas or _flapack): the one
+    scipy.linalg loaded, or else its extension file loaded on its own."""
+    full = "scipy.linalg." + name
+    if full in sys.modules:
+        return sys.modules[full]
+    directory = _linalg_dir()
+    paths = [os.path.join(directory, name + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled {name} module in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(full, path)
+    module = loader.create_module(
+        importlib.machinery.ModuleSpec(full, loader, origin=path))
+    loader.exec_module(module)
+    # loading registers the module under its full name without its package;
+    # left there, a later ``import scipy.linalg`` would not set the package's
+    # attribute and scipy.linalg._flapack would raise AttributeError
+    sys.modules.pop(full, None)
+    return module
+
+
+def _bind(module: str, names, arrays, dtype):
+    """The routines ``names`` (one name or a sequence) of the compiled
+    ``module``, with prefix z when any of ``arrays`` or ``dtype`` is complex
+    and d otherwise: scipy's choice for the float64, complex128 and integer
+    arrays the package passes."""
+    types = [a.dtype for a in arrays] + ([] if dtype is None else [np.dtype(dtype)])
+    prefix = "z" if any(t.kind == "c" for t in types) else "d"
+    fortran = _fortran_module(module)
+    if isinstance(names, str):
+        return getattr(fortran, prefix + names)
+    return [getattr(fortran, prefix + name) for name in names]
+
 
 def get_blas_funcs(names, arrays=(), dtype=None):
-    """scipy.linalg.get_blas_funcs, importing scipy.linalg on first use."""
-    from scipy.linalg import get_blas_funcs as lookup
-    return lookup(names, arrays, dtype)
+    """scipy.linalg.get_blas_funcs for float64 and complex128 routines,
+    without importing scipy.linalg."""
+    return _bind("_fblas", names, arrays, dtype)
 
 
 def get_lapack_funcs(names, arrays=(), dtype=None):
-    """scipy.linalg.get_lapack_funcs, importing scipy.linalg on first use."""
-    from scipy.linalg import get_lapack_funcs as lookup
-    return lookup(names, arrays, dtype)
+    """scipy.linalg.get_lapack_funcs for float64 and complex128 routines,
+    without importing scipy.linalg."""
+    return _bind("_flapack", names, arrays, dtype)
 
 
 class BasisBand:
@@ -371,7 +421,6 @@ def louck_power_sum(m, cfg: BoundaryConfig):
 
 _ZETA_DIRECT = 10       # M: terms of a zeta sum taken directly
 _ZETA_EM = 8            # K: Euler-Maclaurin corrections after them
-_ZETA_BLOCK = 1 << 16   # elements of one (s, n, q) block of the direct terms
 _POW_ERR = 4            # np.power is taken to err by at most this many u
 
 # B_2, B_4, ..., B_{2K+2}
@@ -383,11 +432,10 @@ _EM_WEIGHTS = np.array([float(b / math.factorial(2 * k))
                         for k, b in enumerate(_BERNOULLI_EVEN, start=1)])
 
 
-def _hurwitz_zeta(s, q) -> tuple:
-    """zeta(s, q) = sum_{n >= 0} (n + q)^-s for real s > 1 and q > 0 on the
-    grid of the 1-D arrays s and q, as (value, remainder, allowance), each
-    of shape (len(s), len(q)), with |zeta(s, q) - value| <= remainder +
-    allowance.
+def _hurwitz_zeta(s, q: float) -> tuple:
+    """zeta(s, q) = sum_{n >= 0} (n + q)^-s for each real s > 1 of the 1-D
+    array s and one real q > 0, as (value, remainder, allowance), each of
+    shape (len(s),), with |zeta(s, q) - value| <= remainder + allowance.
 
     The first M = _ZETA_DIRECT terms are summed directly.  The rest,
     sum_{j >= 0} f(a + j) with f(x) = x^-s and a = q + M, is by
@@ -423,33 +471,22 @@ def _hurwitz_zeta(s, q) -> tuple:
     s + pi + 8 <= s + M + pi + 2,
       allowance = u [(s + M + pi + 2) (D + Lead) - s t_0 + (s + 2 pi + 10K) C],
     C the corrections summed in modulus.
-
-    Memory is O(len(s) len(q)): the terms are formed in blocks of q of at
-    most _ZETA_BLOCK elements.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if not (q.min() > 0.0 and math.isfinite(q.max())):
+    q = float(q)
+    if not (q > 0.0 and math.isfinite(q)):
         raise ValueError("Hurwitz zeta needs finite q > 0")
-    M, K, P = _ZETA_DIRECT, _ZETA_EM, len(s)
+    M, K = _ZETA_DIRECT, _ZETA_EM
     weights, units, s_minus_1, minus_s = _zeta_weights(s.tobytes())
-    n = np.arange(M + 1)[:, None]
-    k = np.arange(K + 1)[:, None]
-    out = np.empty((3, P, len(q)))
-    step = max(1, _ZETA_BLOCK // (P * (M + 1)))
-    for lo in range(0, len(q), step):
-        x = q[lo:lo + step] + n               # q, q+1, ..., q+M = a
-        terms = np.power(x, minus_s)          # (P, M+1, block)
-        base, inv = terms[:, M], 1.0 / x[M]
-        head = np.add.reduce(terms[:, :M], axis=1) + base * (x[M] / s_minus_1 + 0.5)
-        # signed corrections, their moduli in allowance units, first omitted
-        corr = (weights @ np.power(inv * inv, k)).reshape(3, P, -1)
-        corr *= base * inv
-        value, remainder, allowance = out[:, :, lo:lo + step]
-        np.add(head, corr[0], out=value)
-        remainder[...] = corr[2]
-        np.add(units[0] * head - units[1] * terms[:, 0], corr[1], out=allowance)
-    return tuple(out)
+    x = q + np.arange(M + 1.0)                # q, q+1, ..., q+M = a
+    terms = np.power(x, minus_s)              # (len(s), M+1)
+    base, inv = terms[:, M], 1.0 / x[M]
+    head = np.add.reduce(terms[:, :M], axis=1) + base * (x[M] / s_minus_1 + 0.5)
+    # signed corrections, their moduli in allowance units, first omitted
+    corr = (weights @ np.power(inv * inv, np.arange(K + 1))).reshape(3, -1)
+    corr *= base * inv
+    allowance = units[0] * head - units[1] * terms[:, 0] + corr[1]
+    return head + corr[0], corr[2], allowance
 
 
 @functools.lru_cache(maxsize=64)
@@ -458,7 +495,7 @@ def _zeta_weights(s_key: bytes) -> tuple:
     (3P, K+1) weights of a^(-2k), k <= K, whose rows give the signed
     corrections B_2k/(2k)! (s)_(2k-1), their moduli times the allowance
     units u (s + 2 pi + 10K) and the first omitted term; the allowance
-    units of D + Lead and of t_0; s - 1; and -s shaped for the (s, n, q)
+    units of D + Lead and of t_0; s - 1; and -s shaped for the (s, n)
     terms."""
     s = np.frombuffer(s_key)
     if not (s.min() > 1.0 and math.isfinite(s.max())):
@@ -472,9 +509,8 @@ def _zeta_weights(s_key: bytes) -> tuple:
     weights[0, :, :K] = coeffs[:, :K]
     weights[1, :, :K] = _U * (col + 2 * _POW_ERR + 10 * K) * np.abs(coeffs[:, :K])
     weights[2, :, K] = np.abs(coeffs[:, K])
-    units = _U * np.stack((col + (_ZETA_DIRECT + _POW_ERR + 2), col))
-    parts = (weights.reshape(3 * len(s), K + 1), units, col - 1.0,
-             -s[:, None, None])
+    units = _U * np.stack((s + (_ZETA_DIRECT + _POW_ERR + 2), s))
+    parts = (weights.reshape(3 * len(s), K + 1), units, s - 1.0, -col)
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -735,7 +771,7 @@ class WeightSequence:
         else:
             scale, order, c = 1.0, self.p * s, 2.0
         if theta == 0.0:
-            parts = [x[:, 0] for x in _hurwitz_zeta(order, [start + c])] + [0]
+            parts = [*_hurwitz_zeta(order, start + c), 0]
         else:
             parts = _euler_sums(order, c, start, q, theta)
         value, remainder, allowance, terms = parts

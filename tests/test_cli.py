@@ -119,6 +119,30 @@ def test_unsorted_truncations_is_config_error(tmp_path):
     assert run(cfgp, out=str(tmp_path / "bad2_out")) == 2
 
 
+def test_boolean_truncation_is_config_error(tmp_path):
+    # JSON true is a Python int, but not a truncation
+    cfgp = write_config(tmp_path, "bool.json", experiment="kernel-eval",
+                        points=[["z1", "z2"]], truncations=[True, 32])
+    prefix = str(tmp_path / "bool_out")
+    assert run(cfgp, out=prefix) == 2
+    diag = read_summary(prefix)
+    assert diag["error"]["kind"] == "ConfigurationError"
+    assert "truncations" in diag["error"]["message"]
+
+
+@pytest.mark.parametrize("roots", [{"angles": "0"}, {"angles": "12"},
+                                   {"points": "12"}])
+def test_string_roots_is_config_error(tmp_path, roots):
+    # a string is not a list of roots: "12" must not run as ["1", "2"]
+    cfgp = write_config(tmp_path, "str.json", roots=roots,
+                        experiment="kernel-eval", points=[["z1", "z1"]])
+    prefix = str(tmp_path / "str_out")
+    assert run(cfgp, out=prefix) == 2
+    diag = read_summary(prefix)
+    assert diag["error"]["kind"] == "ConfigurationError"
+    assert "must be a list" in diag["error"]["message"]
+
+
 def test_unknown_experiment_is_config_error(tmp_path):
     cfgp = write_config(tmp_path, "bad3.json", experiment="nope")
     assert run(cfgp, out=str(tmp_path / "bad3_out")) == 2
@@ -647,11 +671,12 @@ def test_norm_runs_leave_scipy_sparse_unimported(tmp_path):
 def test_runs_without_a_band_load_no_scipy(tmp_path):
     # kernel values (root pairs given by angles and by points, an interior
     # pair), domain reports and identities build no band, so they never
-    # import scipy; a containment run in the same process loads
-    # scipy.linalg when it needs it
+    # import scipy; containment, multiplier, decomposition and
+    # divergence-example runs in the same process bind scipy's compiled
+    # BLAS/LAPACK wrappers without importing scipy.linalg
     roots = {"angles": ["0", "1/3", "2/3"]}
     weights = {"kind": "harmonic", "p": 1.0, "offset": 2.0}
-    paths = [
+    bandless = [
         write_config(tmp_path, "kern.json", roots=roots, weights=weights,
                      experiment="kernel-eval",
                      points=[["z1", "z2"], [{"re": 0.5}, {"im": 0.3}]]),
@@ -662,19 +687,26 @@ def test_runs_without_a_band_load_no_scipy(tmp_path):
                      experiment="domain", truncations=[256]),
         write_config(tmp_path, "ids.json", roots=roots, weights=weights,
                      experiment="identities", truncations=[64]),
-        write_config(tmp_path, "cont.json", roots=roots, weights=weights,
-                     experiment="containment", truncations=[64, 128]),
+    ]
+    banded = [
+        write_config(tmp_path, f"{e}.json", roots=roots, weights=weights,
+                     experiment=e, truncations=[64, 128])
+        for e in ("containment", "multiplier", "decomposition",
+                  "divergence-example")
     ]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import bandkern; from bandkern.cli import run; "
+            "loaded = lambda top: sorted(m for m in sys.modules "
+            "if m == top or m.startswith(top + '.')); "
             "codes = [run(p, out=p[:-5]) for p in sys.argv[2:6]]; "
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-            "print(codes, loaded, run(sys.argv[6], out=sys.argv[6][:-5]))")
-    proc = subprocess.run([sys.executable, "-c", code, src, *paths],
+            "print(codes, loaded('scipy')); "
+            "codes = [run(p, out=p[:-5]) for p in sys.argv[6:]]; "
+            "print(codes, loaded('scipy.linalg'))")
+    proc = subprocess.run([sys.executable, "-c", code, src, *bandless, *banded],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0,", "0]", "[]", "0"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] []", "[0, 0, 0, 0] []"]
 
 
 @pytest.mark.parametrize("setting", [None, "2"])

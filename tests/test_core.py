@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +21,8 @@ from bandkern import (
     louck_power_sum,
     mu_weights,
 )
-from bandkern.core import _ZETA_BLOCK, _ZETA_DIRECT, _hurwitz_zeta, root_powers
+from bandkern import core
+from bandkern.core import _hurwitz_zeta, root_powers
 
 from conftest import (
     dense_basis_matrix,
@@ -304,36 +309,122 @@ def test_hurwitz_zeta_meets_its_certificate():
     q_closed = sorted({(r + 2) / d for d in range(1, 13) for r in range(d)})
     for order in (1.0, 0.75, 2.0):
         grids.append((order * np.arange(2, 9), np.array(q_closed)))
-    for s, q in grids:
-        value, remainder, allowance = _hurwitz_zeta(s, q)
-        assert value.shape == remainder.shape == allowance.shape == (len(s), len(q))
-        for i, si in enumerate(s):
-            for j, qj in enumerate(q):
+    for s, qs in grids:
+        for qj in qs:
+            value, remainder, allowance = _hurwitz_zeta(s, qj)
+            assert value.shape == remainder.shape == allowance.shape == s.shape
+            for si, v, r, a in zip(s, value, remainder, allowance):
                 ref = _zeta_reference(si, qj)
-                err = abs(mpmath.mpf(value[i, j]) - ref)
-                assert err <= remainder[i, j] + allowance[i, j], (si, qj)
-                assert remainder[i, j] <= u * ref, (si, qj)
-                assert allowance[i, j] <= (si + 100) * u * ref, (si, qj)
-
-
-def test_hurwitz_zeta_blocks_agree_with_single_calls():
-    # the terms are formed in blocks of q: a q three blocks long gives the
-    # values of calls on its pieces (to the last bit or so: the matrix
-    # product may group its sums by the block's width)
-    s = np.array([2.0, 3.5])
-    step = _ZETA_BLOCK // (len(s) * (_ZETA_DIRECT + 1))
-    q = np.linspace(1e-3, 3 * _ZETA_DIRECT, 3 * step + 5)
-    whole = np.stack(_hurwitz_zeta(s, q))
-    for lo in range(0, len(q), 977):
-        part = np.stack(_hurwitz_zeta(s, q[lo:lo + 977]))
-        assert_allclose(part, whole[:, :, lo:lo + 977], rtol=1e-15, atol=0)
+                err = abs(mpmath.mpf(v) - ref)
+                assert err <= r + a, (si, qj)
+                assert r <= u * ref, (si, qj)
+                assert a <= (si + 100) * u * ref, (si, qj)
     with pytest.raises(ValueError):
-        _hurwitz_zeta([1.0], [0.5])
+        _hurwitz_zeta([1.0], 0.5)
     with pytest.raises(ValueError):
-        _hurwitz_zeta([2.0], [0.0, 1.0])
+        _hurwitz_zeta([2.0], 0.0)
 
 
 # --- the band of basis Taylor coefficients -----------------------------------
+
+# Run in a fresh process: binds every BLAS/LAPACK routine the package uses
+# before scipy.linalg loads, then checks each against scipy.linalg's lookup of
+# the same name and type on random real and complex inputs, to the last bit.
+_BOUND_ROUTINES_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from bandkern import core
+
+blas = ("gbmv", "axpy", "gemv")
+ours = {}
+for dtype in (np.float64, np.complex128):
+    ours.update(zip([(n, dtype) for n in blas],
+                    core.get_blas_funcs(blas, dtype=dtype)))
+    ours["tbtrs", dtype] = core.get_lapack_funcs("tbtrs", dtype=dtype)
+ours["stemr", np.float64] = core.get_lapack_funcs("stemr", dtype=np.float64)
+assert not [m for m in sys.modules if m.startswith("scipy.linalg")]
+
+import scipy.linalg
+
+rng = np.random.default_rng(2)
+N, kl = 40, 3
+for dtype in (np.float64, np.complex128):
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        if dtype is np.complex128:
+            x = x + 1j * rng.standard_normal(shape)
+        return x
+
+    ab = np.asfortranarray(draw(kl + 1, N))
+    ab[0] += 4.0
+    x, y, A = draw(N), draw(N), np.asfortranarray(draw(N, N))
+    B = np.asfortranarray(draw(N, 3))
+    a = dtype(draw(1)[0])
+    calls = {
+        "gbmv": [((N, N, kl, 0, 1.0, ab, x), dict(trans=t)) for t in (0, 2)],
+        "axpy": [((x, y.copy(), N - 2, a), dict(offx=2)),
+                 ((x, y.copy()), dict(a=a))],
+        "gemv": [((a, A, x), dict(trans=t)) for t in (0, 2)],
+        "tbtrs": [((ab, b), dict(uplo="L", trans=t))
+                  for b in (y, B) for t in ("N", "C")],
+    }
+    if dtype is np.float64:
+        d, e = np.abs(draw(N)) + 1.0, draw(N)
+        calls["stemr"] = [((d.copy(), e.copy(), 2, 0.0, 0.0, k, k), {})
+                          for k in (1, 7, N)]
+    for name, cases in calls.items():
+        lookup = (scipy.linalg.get_lapack_funcs if name in ("tbtrs", "stemr")
+                  else scipy.linalg.get_blas_funcs)
+        theirs = lookup(name, dtype=dtype)
+        assert repr(ours[name, dtype]) == repr(theirs), (name, dtype)
+        for args, kwargs in cases:
+            copies = [[np.copy(v) if isinstance(v, np.ndarray) else v
+                       for v in args] for _ in range(2)]
+            got = ours[name, dtype](*copies[0], **kwargs)
+            want = theirs(*copies[1], **kwargs)
+            if not isinstance(got, tuple):
+                got, want = (got,), (want,)
+            assert ([np.asarray(g).tobytes() for g in got]
+                    == [np.asarray(w).tobytes() for w in want]), name
+
+# the prefix follows the arrays as scipy's does: z when any is complex
+real, cplx = np.zeros(3), np.zeros(3, complex)
+for arrays in ((real,), (cplx,), (real, cplx), (cplx, real), (np.arange(3), real)):
+    assert (repr(core.get_blas_funcs("axpy", arrays))
+            == repr(scipy.linalg.get_blas_funcs("axpy", arrays))), arrays
+    assert (repr(core.get_lapack_funcs("tbtrs", arrays))
+            == repr(scipy.linalg.get_lapack_funcs("tbtrs", arrays))), arrays
+
+# scipy.linalg itself is whole in this process
+assert repr(scipy.linalg._flapack.dtbtrs) == "<fortran function dtbtrs>"
+L = np.tril(rng.standard_normal((N, N))) + 8.0 * np.eye(N)
+b = rng.standard_normal(N)
+assert np.allclose(L @ scipy.linalg.solve_triangular(L, b, lower=True), b)
+print("ok")
+"""
+
+
+def test_bound_routines_match_scipy_linalg():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _BOUND_ROUTINES_SCRIPT, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+def test_missing_compiled_wrappers_raise_import_error(monkeypatch, tmp_path):
+    # no fallback to scipy.linalg: the error names the directory searched
+    monkeypatch.setattr(core, "_linalg_dir", lambda: str(tmp_path))
+    monkeypatch.setattr(core, "_fortran_module",
+                        functools.cache(core._fortran_module.__wrapped__))
+    for name in ("scipy.linalg._fblas", "scipy.linalg._flapack"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    for lookup, name in ((core.get_blas_funcs, "axpy"),
+                         (core.get_lapack_funcs, "tbtrs")):
+        with pytest.raises(ImportError, match=str(tmp_path)):
+            lookup(name, dtype=float)
+
 
 def _vectors(rng, N, dtype):
     """A vector and a block of three columns of N rows."""
