@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bandkern import basis_kernel, core, decomposition
+from bandkern import basis_kernel, cli, core, decomposition, experiments
 from bandkern.cli import emit_plot_data, main, run, validate_summary
 
 
@@ -192,12 +193,15 @@ def test_determinism_byte_identical(tmp_path):
         seed=123,
         trials=3,
     )
-    p1, p2 = str(tmp_path / "det1"), str(tmp_path / "det2")
+    # one basename in two directories: the summary names the CSV's basename
+    p1, p2 = str(tmp_path / "a" / "det"), str(tmp_path / "b" / "det")
+    os.mkdir(tmp_path / "a")
+    os.mkdir(tmp_path / "b")
     assert run(cfgp, out=p1) == 0
     assert run(cfgp, out=p2) == 0
-    csv1 = open(p1 + ".series.csv", "rb").read()
-    csv2 = open(p2 + ".series.csv", "rb").read()
-    assert csv1 == csv2
+    for suffix in (".series.csv", ".summary.json"):
+        assert (open(p1 + suffix, "rb").read()
+                == open(p2 + suffix, "rb").read())
 
 
 def test_decomposition_run(tmp_path):
@@ -349,9 +353,7 @@ def test_identities_rows_match_loop_reference(tmp_path, seed):
 def test_identities_verdict_fails_on_a_broken_identity(tmp_path, monkeypatch):
     # Louck's power sums moved by 1e-6 break one identity by far more than
     # the 1e-9 the verdict allows
-    from bandkern import cli
-
-    monkeypatch.setattr(cli, "louck_power_sum",
+    monkeypatch.setattr(experiments, "louck_power_sum",
                         lambda m, cfg: core.louck_power_sum(m, cfg) + 1e-6)
     cfgp = write_config(
         tmp_path, "ids_bad.json",
@@ -373,9 +375,7 @@ def test_unaffirmed_run_keeps_its_summary(tmp_path, monkeypatch, capsys):
     # the broken identity above, asked to pass: exit 4, and the summary still
     # holds the verdict and measurements that were refused, with the
     # diagnostic that stderr carries
-    from bandkern import cli
-
-    monkeypatch.setattr(cli, "louck_power_sum",
+    monkeypatch.setattr(experiments, "louck_power_sum",
                         lambda m, cfg: core.louck_power_sum(m, cfg) + 1e-6)
     cfgp = write_config(
         tmp_path, "ids_bad.json",
@@ -439,12 +439,18 @@ def test_plot_emission(tmp_path):
     assert run(cfgp, out=prefix) == 0
     series = prefix + ".series.csv"
     assert emit_plot_data(series) == 0
-    dat = prefix + ".series.c_2m_0_abs.dat"
-    assert os.path.exists(dat)
-    for line in open(dat).read().splitlines():
-        x, y = line.split(" ")
-        float(x), float(y)
-    assert os.path.exists(prefix + ".series.column0_l2.dat")
+    # one "<index> <value>" line per row of the quantity, in series order,
+    # the value as the CSV prints it
+    rows = [line.split(",") for line in
+            open(series, encoding="utf-8").read().splitlines()[1:]]
+    quantities = {r[2] for r in rows}
+    assert quantities == {"c_2m_0_abs", "column0_l2"}
+    assert sorted(f for f in os.listdir(tmp_path) if f.endswith(".dat")) == [
+        f"plot_out.series.{q}.dat" for q in sorted(quantities)]
+    for q in quantities:
+        want = "".join(f"{r[1]} {r[3]}\n" for r in rows if r[2] == q)
+        with open(f"{prefix}.series.{q}.dat", "rb") as fh:
+            assert fh.read() == want.encode()
 
 
 def test_plot_missing_series():
@@ -751,3 +757,176 @@ def test_non_finite_point_is_config_error(tmp_path):
     prefix = str(tmp_path / "nan_out")
     assert run(cfgp, out=prefix) == 2
     assert "finite" in read_summary(prefix)["error"]["message"]
+
+
+def test_unwritable_prefix_is_config_error(tmp_path, capsys):
+    # a prefix in a directory that does not exist: exit 2 with the JSON
+    # diagnostic on stderr, not a traceback
+    cfgp = write_config(tmp_path, "ok.json", truncations=[64, 128])
+    prefix = str(tmp_path / "no" / "such" / "dir" / "x")
+    assert run(cfgp, out=prefix) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["status"] == "error" and diag["exit_code"] == 2
+    assert diag["error"]["kind"] == "FileNotFoundError"
+    assert not os.path.exists(tmp_path / "no")
+
+
+def test_unwritable_plot_file_is_config_error(tmp_path, capsys):
+    # a directory where one .dat file would go
+    cfgp = write_config(tmp_path, "plot.json", truncations=[64, 128])
+    prefix = str(tmp_path / "plot_out")
+    assert run(cfgp, out=prefix) == 0
+    os.mkdir(prefix + ".series.column0_l2.dat")
+    assert emit_plot_data(prefix + ".series.csv") == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"]["kind"] == "IsADirectoryError"
+
+
+_TABLE_TAIL = {"kind": "harmonic", "p": 1.0, "offset": 2.0}
+
+
+@pytest.mark.parametrize("field,overrides", [
+    ("p", {"weights": {"kind": "harmonic", "p": True}}),
+    ("p", {"weights": {"kind": "powerlaw", "p": "2"}}),
+    ("offset", {"weights": {"kind": "harmonic", "p": 1.0, "offset": "3"}}),
+    ("table value", {"weights": {"kind": "table", "values": [0.5, "0.6"],
+                                 "tail": _TABLE_TAIL}}),
+    ("table re", {"weights": {"kind": "table", "values": [{"re": True}],
+                              "tail": _TABLE_TAIL}}),
+    ("table im", {"weights": {"kind": "table",
+                              "values": [{"re": 0.5, "im": "0"}],
+                              "tail": _TABLE_TAIL}}),
+    ("point re", {"points": [[{"re": "0.5", "im": False}, "z1"]]}),
+    ("point im", {"points": [[{"re": 0.5, "im": False}, "z1"]]}),
+    ("point re", {"roots": {"points": [{"re": True}]}}),
+    ("tolerance", {"tolerance": "1e-8"}),
+    ("tolerance", {"tolerance": True}),
+    # integers beyond float range
+    ("p", {"weights": {"kind": "powerlaw", "p": 10 ** 400}}),
+    ("point", {"points": [10 ** 400]}),
+    ("point", {"points": [True]}),
+])
+def test_non_number_field_is_config_error(tmp_path, field, overrides):
+    # JSON true and numeric strings are not numbers, though float() takes
+    # them; an integer that no float holds is refused too
+    base = dict(roots={"angles": ["0"]},
+                weights={"kind": "harmonic", "p": 1.0, "offset": 2.0},
+                experiment="kernel-eval", points=[["z1", "z1"]])
+    cfgp = write_config(tmp_path, "num.json", **{**base, **overrides})
+    prefix = str(tmp_path / "num_out")
+    assert run(cfgp, out=prefix) == 2
+    diag = read_summary(prefix)
+    assert diag["error"]["kind"] == "ConfigurationError"
+    assert diag["error"]["message"].startswith(f"{field} must be a number")
+
+
+def test_integer_numbers_run_as_floats(tmp_path):
+    # JSON integers are numbers: p = 1, offset = 2 and an integer point give
+    # the series of p = 1.0, offset = 2.0 and the float point
+    series = []
+    for p, offset, re in ((1, 2, 0), (1.0, 2.0, 0.0)):
+        cfgp = write_config(
+            tmp_path, "int.json", roots={"angles": ["0"]},
+            weights={"kind": "harmonic", "p": p, "offset": offset},
+            experiment="kernel-eval", points=[["z1", "z1"], {"re": re}])
+        prefix = str(tmp_path / f"int_{p!r}")
+        assert run(cfgp, out=prefix) == 0
+        series.append(open(prefix + ".series.csv", "rb").read())
+    assert series[0] == series[1]
+
+
+def _stale(data: bytes, longer: bool) -> bytes:
+    """Other bytes, longer or shorter than data."""
+    return data[::-1] + b"stale tail\n" * 40 if longer else data[: len(data) // 3]
+
+
+@pytest.mark.parametrize("longer", [True, False])
+def test_rerun_over_stale_outputs_matches_fresh(tmp_path, longer):
+    # outputs are written over in place and cut to length: no stale tail
+    cfgp = write_config(tmp_path, "cfg.json", truncations=[64, 128])
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    stale.mkdir()
+    assert run(cfgp, out=str(fresh / "out")) == 0
+    assert emit_plot_data(str(fresh / "out.series.csv")) == 0
+    names = sorted(os.listdir(fresh))
+    assert len(names) == 4
+    for name in names:
+        (stale / name).write_bytes(_stale((fresh / name).read_bytes(), longer))
+    assert run(cfgp, out=str(stale / "out")) == 0
+    assert emit_plot_data(str(stale / "out.series.csv")) == 0
+    assert sorted(os.listdir(stale)) == names
+    for name in names:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_diagnostic_over_a_longer_summary_matches_fresh(tmp_path):
+    # an exit-2 diagnostic written over a run's longer summary
+    good = write_config(tmp_path, "good.json", truncations=[64, 128])
+    bad = write_config(tmp_path, "bad.json", experiment="nope")
+    fresh, stale = str(tmp_path / "fresh"), str(tmp_path / "stale")
+    assert run(good, out=stale) == 0
+    assert run(bad, out=stale) == 2
+    assert run(bad, out=fresh) == 2
+    with open(stale + ".summary.json", "rb") as fh:
+        got = fh.read()
+    with open(fresh + ".summary.json", "rb") as fh:
+        assert got == fh.read()
+    assert json.loads(got)["error"]["kind"] == "ConfigurationError"
+
+
+# ---------------------------------------------------------------------------
+# the summary encoder, against json.dumps as the oracle
+# ---------------------------------------------------------------------------
+
+def _finite_or_none(x):
+    if isinstance(x, dict):
+        return {k: _finite_or_none(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(_finite_or_none(v) for v in x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-320,
+                     np.float64(math.nan), np.float64(-math.inf)]),
+    st.text(), st.sampled_from(["", "é中😀", '"\\\n\t\x00', " "]),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_encoder_matches_json_dumps(obj):
+    want = json.dumps(_finite_or_none(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+    assert cli._encode(obj) == want
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True),
+                                   np.float32(0.5), {1, 2}, b"bytes"])
+def test_encoder_rejects_what_json_dumps_rejects(value):
+    for obj in (value, [1.0, value], {"k": value}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError):
+            cli._encode(obj)
+
+
+def test_encoder_rejects_non_str_keys():
+    # json.dumps would write {1: 0} as {"1": 0}; a summary's keys are strs
+    # (the config echo's come from JSON), so the encoder refuses the rest
+    for obj in ({1: 0}, {"a": {None: 0}}, [{1.5: 0}]):
+        with pytest.raises(TypeError):
+            cli._encode(obj)
